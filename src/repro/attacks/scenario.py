@@ -6,7 +6,9 @@ build of the same source (their own copy of the software).  ``spawn``
 starts a worker process; respawns reuse the same ASLR seed, modelling the
 fork-server/worker-restart behaviour Blind ROP exploits ("some servers
 restart crashed worker processes without reloading their binary code
-images", Section 4).
+images", Section 4).  A respawn is literally a fork: the session loads
+each variant once per load seed into a pristine image it keeps for its
+own lifetime, and every worker is a :meth:`Process.clone` of that image.
 
 :func:`run_attack` executes a single-shot attack: it arms the victim's
 ``attack_hook`` vulnerability with the attack function, runs the victim,
@@ -17,7 +19,7 @@ and classifies the outcome.  Multi-probe attacks (Blind ROP, PIROP) drive
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.attacks.monitor import DefenseMonitor
 from repro.attacks.outcomes import AttackOutcome, AttackResult
@@ -28,6 +30,7 @@ from repro.errors import MachineError
 from repro.machine.cpu import CPU, ExecutionResult
 from repro.machine.costs import get_costs
 from repro.machine.loader import load_binary
+from repro.machine.process import Process
 from repro.rng import DiversityRng
 from repro.toolchain.ir import Module
 from repro.workloads.victim import (
@@ -123,6 +126,9 @@ class VictimSession:
         #: it into a virtual-clock probe deadline.
         self.instruction_budget = instruction_budget
         self._spawn_count = 0
+        # Variant index -> (load seed, pristine loaded image).  Workers are
+        # clones of it; a new seed (rerandomize_on_restart) replaces it.
+        self._images: Dict[int, Tuple[int, Process]] = {}
         self.binary = compile_module(self.module, config)
         # Follower builds roll different diversification dice (same seed
         # spacing as the MVEE), leaving the leader binary — and therefore
@@ -143,6 +149,25 @@ class VictimSession:
 
     # -- process management ------------------------------------------------------
 
+    def _next_seed(self) -> int:
+        """Count one spawn and return its load seed."""
+        seed = self.load_seed
+        if self.rerandomize_on_restart:
+            seed += self._spawn_count
+        self._spawn_count += 1
+        return seed
+
+    def _fork(self, index: int, seed: int) -> Process:
+        """Fork a worker of variant ``index`` from its pristine image,
+        loading the image first if ``seed`` is new for this variant."""
+        image = self._images.get(index)
+        if image is None or image[0] != seed:
+            process = load_binary(
+                self.variant_binaries[index], seed=seed, execute_only=self.execute_only
+            )
+            image = self._images[index] = (seed, process)
+        return image[1].clone()
+
     def spawn(self) -> Tuple[object, CPU]:
         """Start a worker.
 
@@ -151,11 +176,7 @@ class VictimSession:
         ``rerandomize_on_restart`` every spawn re-randomizes the layout
         (the Section 7.3 mitigation), which breaks cross-probe inference.
         """
-        seed = self.load_seed
-        if self.rerandomize_on_restart:
-            seed += self._spawn_count
-        self._spawn_count += 1
-        process = load_binary(self.binary, seed=seed, execute_only=self.execute_only)
+        process = self._fork(0, self._next_seed())
         cpu = CPU(
             process,
             get_costs("epyc-rome"),
@@ -220,15 +241,12 @@ class VictimSession:
         from repro.defenses.lockstep import LockstepGroup, MveeOutcome
         from repro.defenses.mvee import _RecordingView
 
-        seed = self.load_seed
-        if self.rerandomize_on_restart:
-            seed += self._spawn_count
-        self._spawn_count += 1
+        seed = self._next_seed()
         write_log = []
         leader_fired = [False]
         processes = []
-        for index, binary in enumerate(self.variant_binaries):
-            process = load_binary(binary, seed=seed, execute_only=self.execute_only)
+        for index in range(self.variants):
+            process = self._fork(index, seed)
             if index == 0:
 
                 def leader_service(proc, running_cpu):

@@ -68,11 +68,14 @@ class _Page:
     slower ``enum.IntFlag.__and__`` — on interpreter-bound runs the enum op
     alone is a measurable fraction of every memory access.
 
-    ``data`` is demand-zero: ``None`` until the first byte access
-    materializes the backing ``bytearray``.  Mapping a multi-megabyte heap
-    arena allocates page *descriptors* only, so load time scales with the
-    bytes actually written, not the address space reserved — and
-    :meth:`Memory.clone` copies only materialized pages.
+    A descriptor exists only for a page something has touched: mapping
+    records a reserved range (see :class:`Memory`), and the first access,
+    permission change or fetch creates the page's descriptor from it.
+    ``data`` is demand-zero on top of that: ``None`` until the first byte
+    access materializes the backing ``bytearray``.  So mapping a
+    multi-megabyte heap arena allocates nothing per page, load time scales
+    with the pages actually touched, not the address space reserved, and
+    :meth:`Memory.clone` copies only described pages.
 
     ``mv`` is a 64-bit view of ``data`` (``memoryview.cast("Q")``), created
     at materialization on little-endian hosts.  Aligned word accesses — the
@@ -101,16 +104,25 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 class Memory:
-    """Sparse paged address space.
+    """Sparse paged address space with lazy reservation.
 
-    Pages are materialized on :meth:`map_region` and checked on every
-    access.  A page flagged as *guard* raises :class:`GuardPageFault`
-    instead of the generic :class:`MemoryFault` so the attack monitor can
-    attribute the crash to a booby trap.
+    :meth:`map_region` records an immutable ``(first, end, perm)`` range
+    and nothing per page.  A page's :class:`_Page` descriptor is created
+    on first touch by :meth:`_page`, which every slow path goes through;
+    from then on the descriptor, not the range, holds the page's
+    permissions, guard flag and bytes.  Every descriptor lies inside a
+    range, so a page is mapped iff some range covers it.  Permissions are
+    checked on every access.  A page flagged as *guard* raises
+    :class:`GuardPageFault` instead of the generic :class:`MemoryFault` so
+    the attack monitor can attribute the crash to a booby trap.
     """
 
     def __init__(self) -> None:
+        # Described pages: base -> descriptor, for touched pages only.
         self._pages: Dict[int, _Page] = {}
+        # Reserved ranges ``(first, end, perm)``, page-aligned and
+        # disjoint.  The tuple is never mutated, so clones share it.
+        self._ranges: Tuple[Tuple[int, int, Perm], ...] = ()
         # Monotonic permission epoch: bumped by every map/unmap/protect so
         # execution backends may memoize per-address fetch-permission checks
         # and revalidate only when the permission landscape actually moved.
@@ -136,6 +148,17 @@ class Memory:
         # bound ``.get`` references stay valid for the memory's lifetime.
         self._rmv: Dict[int, object] = {}
         self._wmv: Dict[int, object] = {}
+
+    def _page(self, base: int) -> Optional[_Page]:
+        """Return the descriptor of the page at ``base``, creating it from
+        its reserved range on first touch; ``None`` if it is unmapped."""
+        page = self._pages.get(base)
+        if page is None:
+            for first, end, perm in self._ranges:
+                if first <= base < end:
+                    page = self._pages[base] = _Page(perm)
+                    break
+        return page
 
     def _materialize(self, base: int, page: _Page) -> bytearray:
         """Allocate a page's demand-zero backing store (and word views)."""
@@ -172,18 +195,41 @@ class Memory:
     # -- mapping -----------------------------------------------------------
 
     def map_region(self, address: int, size: int, perm: Perm) -> None:
-        """Map ``size`` bytes at ``address`` (page-granular) with ``perm``."""
+        """Map ``size`` bytes at ``address`` (page-granular) with ``perm``.
+
+        Overlapping an existing mapping maps the pages below the first
+        clash and raises "already mapped" at it."""
         self.perm_epoch += 1
-        for base in page_range(address, size):
-            if base in self._pages:
-                raise MemoryFault("write", base, "already mapped")
-            self._pages[base] = _Page(perm)
+        if size <= 0:
+            return
+        first = page_base(address)
+        end = page_base(address + size - 1) + PAGE_SIZE
+        clash = min(
+            (max(lo, first) for lo, hi, _ in self._ranges if lo < end and first < hi),
+            default=None,
+        )
+        if clash is not None:
+            if clash > first:
+                self._ranges += ((first, clash, perm),)
+            raise MemoryFault("write", clash, "already mapped")
+        self._ranges += ((first, end, perm),)
 
     def unmap_region(self, address: int, size: int) -> None:
         self.perm_epoch += 1
-        for base in page_range(address, size):
-            page = self._pages.pop(base, None)
-            if page is not None and page.data is not None:
+        if size <= 0:
+            return
+        first = page_base(address)
+        end = page_base(address + size - 1) + PAGE_SIZE
+        kept = []
+        for lo, hi, perm in self._ranges:
+            if lo < first:
+                kept.append((lo, min(hi, first), perm))
+            if end < hi:
+                kept.append((max(lo, end), hi, perm))
+        self._ranges = tuple(kept)
+        for base in [base for base in self._pages if first <= base < end]:
+            page = self._pages.pop(base)
+            if page.data is not None:
                 self._resident -= 1
                 self._rmv.pop(base, None)
                 self._wmv.pop(base, None)
@@ -196,7 +242,7 @@ class Memory:
         """
         self.perm_epoch += 1
         for base in page_range(address, size):
-            page = self._pages.get(base)
+            page = self._page(base)
             if page is None:
                 raise MemoryFault("write", base, "unmapped")
             page.perm = perm
@@ -209,10 +255,10 @@ class Memory:
         flags, the permission epoch, and the resident set.
 
         The clone is fully independent — writes and protection changes on
-        either side never show through.  This is the substrate for replica
-        processes (:meth:`repro.machine.process.Process.clone`): copying
-        pages wholesale is an order of magnitude cheaper than re-running
-        the loader and the runtime constructors."""
+        either side never show through.  Only described pages are copied;
+        the reserved ranges are an immutable tuple and are shared.  This
+        is the substrate for replica processes and respawned workers
+        (:meth:`repro.machine.process.Process.clone`)."""
         clone = Memory.__new__(Memory)
         pages: Dict[int, _Page] = {}
         rmv: Dict[int, object] = {}
@@ -237,6 +283,7 @@ class Memory:
             copy.bits = page.bits
             pages[base] = copy
         clone._pages = pages
+        clone._ranges = self._ranges
         clone.perm_epoch = self.perm_epoch
         clone._touched = set(self._touched)
         clone._resident = self._resident
@@ -245,19 +292,23 @@ class Memory:
         return clone
 
     def is_mapped(self, address: int) -> bool:
-        return page_base(address) in self._pages
+        return self._page(page_base(address)) is not None
 
     def perm_at(self, address: int) -> Optional[Perm]:
-        page = self._pages.get(page_base(address))
+        page = self._page(page_base(address))
         return None if page is None else page.perm
 
     def is_guard(self, address: int) -> bool:
-        page = self._pages.get(page_base(address))
+        page = self._page(page_base(address))
         return bool(page and page.guard)
 
     def mapped_pages(self) -> List[Tuple[int, Perm]]:
         """Return (base, perm) for every mapped page, sorted by address."""
-        return sorted((base, page.perm) for base, page in self._pages.items())
+        pages = {base: page.perm for base, page in self._pages.items()}
+        for first, end, perm in self._ranges:
+            for base in range(first, end, PAGE_SIZE):
+                pages.setdefault(base, perm)
+        return sorted(pages.items())
 
     def resident_bytes(self) -> int:
         """Total bytes of *touched* pages — the maxrss analogue (Section 6.2.5).
@@ -275,7 +326,7 @@ class Memory:
 
     def _check(self, kind: str, need: Perm, address: int, size: int) -> None:
         for base in page_range(address, size):
-            page = self._pages.get(base)
+            page = self._page(base)
             if page is None:
                 raise MemoryFault(kind, address, "unmapped")
             if not (page.perm & need):
@@ -286,11 +337,13 @@ class Memory:
     # -- data access -------------------------------------------------------
     #
     # Every accessor has a single-page fast path: when the access lies
-    # inside one mapped page that already grants the needed permission,
-    # service it with one dict probe and an integer AND.  Anything else —
-    # page-spanning, unmapped, insufficient permission, guard pages — falls
-    # through to the original ``_check`` + copy path, so every fault is
-    # raised from exactly the same place with exactly the same message.
+    # inside one described page that already grants the needed
+    # permission, service it with one dict probe and an integer AND.
+    # Anything else — page-spanning, unmapped, not yet described,
+    # insufficient permission, guard pages — falls through to the
+    # ``_check`` + copy path, which describes the page on first touch, so
+    # every fault is raised from exactly the same place with exactly the
+    # same message.
     # Materializing the backing store marks the page resident (see
     # :meth:`resident_bytes`), so the fast paths carry no ``_touched``
     # bookkeeping.  Aligned word accesses go through the page's 64-bit
@@ -376,7 +429,7 @@ class Memory:
                 return
         self._check("fetch", Perm.X, address, size)
         base = address & ~PAGE_MASK
-        page = self._pages.get(base)
+        page = self._page(base)
         if page is not None and page.data is None:
             self._touched.add(base)
 
@@ -385,14 +438,14 @@ class Memory:
     def store_raw(self, address: int, data: bytes) -> None:
         """Write ignoring permissions.  Used by the loader and runtime only."""
         for base in page_range(address, len(data)):
-            if base not in self._pages:
+            if self._page(base) is None:
                 raise MemoryFault("write", base, "unmapped")
         self._copy_in(address, data)
 
     def load_raw(self, address: int, size: int) -> bytes:
         """Read ignoring permissions.  Used by the runtime/debugger only."""
         for base in page_range(address, size):
-            if base not in self._pages:
+            if self._page(base) is None:
                 raise MemoryFault("read", base, "unmapped")
         return self._copy_out(address, size)
 
@@ -414,7 +467,7 @@ class Memory:
         plan bug, not a simulated fault.
         """
         base = page_base(address)
-        page = self._pages.get(base)
+        page = self._page(base)
         if page is None:
             raise MemoryFault("write", address, "unmapped")
         data = page.data
@@ -432,7 +485,7 @@ class Memory:
             base = page_base(addr)
             offset = addr - base
             take = min(PAGE_SIZE - offset, size - pos)
-            page = self._pages[base]
+            page = self._page(base)
             backing = page.data
             if backing is None:
                 backing = self._materialize(base, page)
@@ -448,7 +501,7 @@ class Memory:
             base = page_base(addr)
             offset = addr - base
             take = min(PAGE_SIZE - offset, size - pos)
-            page = self._pages[base]
+            page = self._page(base)
             backing = page.data
             if backing is None:
                 backing = self._materialize(base, page)

@@ -13,7 +13,7 @@ wholesale.  How a backend *got* the numbers (blocks compiled, deopts
 taken) is host-side observability, not machine state — the bench
 artifact's ``tiers`` section records that instead.
 
-Counter definitions (also in DESIGN.md §3.4):
+Counter definitions (also in DESIGN.md §3.5):
 
 ``instructions``
     Instructions executed, including the one that faulted (the budget
