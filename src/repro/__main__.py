@@ -397,12 +397,6 @@ def disasm_blocks_main(argv) -> int:
     progressive-lowering pipeline takes it to (2 = compiles to a block
     function, 1 = interpreter-only, with the disqualifying reason),
     superinstruction fusion annotations, and static successor edges.
-
-    With ``--traces`` the workload is additionally *run* under the jit
-    backend (tier 3 governed by ``--tier3/--no-tier3``) and the dump
-    gains the recorded traces — kind, segment list, length — plus a
-    per-block membership annotation.  Traces are dynamic (recorded from
-    hot paths), so this is the only part of the dump that needs a run.
     """
     from repro.core.compiler import R2CCompiler
     from repro.core.config import R2CConfig
@@ -437,25 +431,6 @@ def disasm_blocks_main(argv) -> int:
     parser.add_argument(
         "--tier", type=int, default=None, choices=(1, 2), help="only blocks at this tier"
     )
-    parser.add_argument(
-        "--traces",
-        action="store_true",
-        help="run the workload under the jit backend and show tier-3 traces",
-    )
-    tier3_group = parser.add_mutually_exclusive_group()
-    tier3_group.add_argument(
-        "--tier3",
-        dest="tier3",
-        action="store_true",
-        default=True,
-        help="enable tier-3 trace compilation for --traces (default)",
-    )
-    tier3_group.add_argument(
-        "--no-tier3",
-        dest="tier3",
-        action="store_false",
-        help="disable tier-3 trace compilation for --traces",
-    )
     args = parser.parse_args(argv)
 
     if args.config == "full":
@@ -474,38 +449,6 @@ def disasm_blocks_main(argv) -> int:
         f"{stats['tier1_blocks']} at tier 1, "
         f"{stats['superinstructions_fused']} superinstructions fused"
     )
-    # Tier-3 trace membership needs a run: traces are recorded from hot
-    # dynamic paths.  Run a fresh process so the CFG dump above stays a
-    # pre-run view.
-    traces: dict = {}
-    membership: dict = {}
-    if args.traces:
-        from repro.machine.backends import get_backend
-        from repro.machine.cpu import ExecutionResult
-        from repro.machine.jit import set_tier3
-        from repro.machine.state import MachineState
-
-        previous = set_tier3(args.tier3)
-        try:
-            impl = get_backend("jit")
-            run_process = load_binary(binary, seed=args.load_seed)
-            state = MachineState(run_process, cpu.costs)
-            state.rip = run_process.entry_point
-            state._halted = False
-            jit_program = impl.prepare(state)
-            impl.execute(jit_program, state, ExecutionResult())
-            traces = jit_program.trace_info()
-        finally:
-            set_tier3(previous)
-        for head, info in traces.items():
-            for segment in info["segments"]:
-                membership.setdefault(segment, []).append((head, info["kind"]))
-        print(
-            f"traces: {len(traces)} recorded "
-            f"({sum(1 for i in traces.values() if i['kind'] == 'loop')} loop, "
-            f"{sum(1 for i in traces.values() if i['kind'] == 'superblock')} "
-            f"superblock)"
-        )
     # Address -> symbol for block-head labels (function heads only).
     symbols = {
         address: name
@@ -526,18 +469,9 @@ def disasm_blocks_main(argv) -> int:
         for kind, start, count in block.fused:
             first = block.uops[start]
             print(f"  fused {kind}: {count} uops from {first.rip:#x}")
-        for head, kind in membership.get(block.addr, ()):
-            note = " (head)" if head == block.addr else ""
-            print(f"  in trace {head:#x} ({kind}){note}")
         for kind, target in block.successors():
             where = f"{target:#x}" if target is not None else "dynamic"
             print(f"  -> {kind} {where}")
-    for head, info in sorted(traces.items()):
-        print(
-            f"\ntrace {head:#x}: {info['kind']}, "
-            f"{len(info['segments'])} segments, {info['length']} instructions"
-        )
-        print("  segments: " + ", ".join(f"{s:#x}" for s in info["segments"]))
     return 0
 
 
@@ -741,45 +675,25 @@ def bench_main(argv) -> int:
         help="also run the N-variant lockstep leg (webserver replicas; "
         "records the amortized-decode cost ratio)",
     )
-    tier3_group = parser.add_mutually_exclusive_group()
-    tier3_group.add_argument(
-        "--tier3",
-        dest="tier3",
-        action="store_true",
-        default=True,
-        help="enable tier-3 trace compilation in the jit backend (default)",
-    )
-    tier3_group.add_argument(
-        "--no-tier3",
-        dest="tier3",
-        action="store_false",
-        help="disable tier-3 trace compilation (tier-2 blocks only)",
-    )
     args = parser.parse_args(argv)
     out = args.out or time.strftime("BENCH_%Y-%m-%d.json")
 
-    from repro.machine.jit import set_tier3
-
-    previous_tier3 = set_tier3(args.tier3)
     started = time.perf_counter()
-    try:
-        bench_report = run_bench(
-            backend=args.backend, machine=args.machine, jobs=args.jobs,
-            quick=args.quick,
+    bench_report = run_bench(
+        backend=args.backend, machine=args.machine, jobs=args.jobs,
+        quick=args.quick,
+    )
+    if args.lockstep:
+        bench_report.lockstep = run_lockstep_bench(
+            variants=args.lockstep, backend=args.backend, machine=args.machine
         )
-        if args.lockstep:
-            bench_report.lockstep = run_lockstep_bench(
-                variants=args.lockstep, backend=args.backend, machine=args.machine
-            )
-            lock = bench_report.lockstep
-            print(
-                f"lockstep x{lock['variants']}: {lock['outcome']}, "
-                f"cost ratio {lock['cost_ratio']}x "
-                f"({lock['lockstep']['wall_seconds']}s vs "
-                f"{lock['single']['wall_seconds']}s single)"
-            )
-    finally:
-        set_tier3(previous_tier3)
+        lock = bench_report.lockstep
+        print(
+            f"lockstep x{lock['variants']}: {lock['outcome']}, "
+            f"cost ratio {lock['cost_ratio']}x "
+            f"({lock['lockstep']['wall_seconds']}s vs "
+            f"{lock['single']['wall_seconds']}s single)"
+        )
     print(report.render_bench(bench_report))
     print(f"[{time.perf_counter() - started:.1f}s]")
     text = bench_report.to_json()

@@ -57,6 +57,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
 from repro.errors import AllocatorError, InjectedFault, MachineError, ReproError
+from repro.machine.backends import DEFAULT_BACKEND
 from repro.machine.costs import get_costs
 from repro.machine.cpu import CPU, ExecutionResult
 from repro.machine.loader import load_binary
@@ -142,13 +143,8 @@ class RunRequest:
             self.instruction_budget,
             self.heap_size,
             self.attribute_tags,
-            self.backend or DEFAULT_EXECUTION_BACKEND,
+            self.backend or DEFAULT_BACKEND,
         )
-
-
-#: Backend assumed when a request does not name one and no engine default
-#: intervenes (mirrors the CPU's own default).
-DEFAULT_EXECUTION_BACKEND = "reference"
 
 #: RunRecord fields that depend on the execution environment, not the
 #: (deterministic) request — excluded from canonical comparisons.  The
@@ -208,7 +204,7 @@ class RunRecord:
     #: Failure detail for non-ok outcomes: ``{"class", "rule", "message"}``
     #: (``rule`` names the FaultPlan rule when injection caused it).
     failure: Optional[Dict[str, str]] = None
-    backend: str = DEFAULT_EXECUTION_BACKEND
+    backend: str = DEFAULT_BACKEND
     verified: bool = False
     compile_seconds: float = 0.0
     run_seconds: float = 0.0
@@ -342,7 +338,7 @@ def _failure_record(
         tag_cycles=None,
         outcome=outcome,
         failure={"class": fault_class, "rule": rule, "message": message},
-        backend=request.backend or DEFAULT_EXECUTION_BACKEND,
+        backend=request.backend or DEFAULT_BACKEND,
         verified=False,
         worker=os.getpid(),
     )
@@ -386,7 +382,7 @@ def _execute_request_phases(
             request.module, request.config
         )
         probe.set(hit=cache_hit)
-    backend = request.backend or DEFAULT_EXECUTION_BACKEND
+    backend = request.backend or DEFAULT_BACKEND
     if request.verify:
         from repro.analysis import verify_binary
 
@@ -616,7 +612,7 @@ class EngineSummary:
     compile_seconds: float
     run_seconds: float
     worker_runs: Dict[int, int] = field(default_factory=dict)
-    backend: str = DEFAULT_EXECUTION_BACKEND
+    backend: str = DEFAULT_BACKEND
     failures: FailureSummary = field(default_factory=FailureSummary)
 
     @property
@@ -646,7 +642,7 @@ class ExperimentEngine:
     def __init__(
         self,
         jobs: int = 1,
-        backend: str = DEFAULT_EXECUTION_BACKEND,
+        backend: str = DEFAULT_BACKEND,
         *,
         fault_plan: Optional["FaultPlan"] = None,
         timeout: Optional[float] = None,
@@ -752,7 +748,7 @@ class ExperimentEngine:
         """
         self._batches += 1
         self._requested += len(requests)
-        if self.backend != DEFAULT_EXECUTION_BACKEND:
+        if self.backend != DEFAULT_BACKEND:
             requests = [
                 request
                 if request.backend is not None

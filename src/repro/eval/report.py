@@ -334,15 +334,6 @@ def render_bench(report) -> str:
             f"{tiers.get('deopts', 0)} deopts, "
             f"{tiers.get('code_cache_hits', 0)} code-cache hits"
         )
-        if tiers.get("traces_compiled"):
-            lines.append(
-                f"tier 3: {tiers.get('traces_compiled', 0)} traces compiled "
-                f"({tiers.get('loop_traces', 0)} loop, "
-                f"{tiers.get('superblocks', 0)} superblock), "
-                f"{tiers.get('trace_side_exits', 0)} side exits, "
-                f"{tiers.get('trace_guard_failures', 0)} guard failures, "
-                f"{tiers.get('traces_blacklisted', 0)} blacklisted"
-            )
     return "\n".join(lines)
 
 

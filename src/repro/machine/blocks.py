@@ -1,6 +1,6 @@
 """Tier 1 of the progressive-lowering pipeline: basic blocks + fusion.
 
-The machine layer lowers guest code through four tiers:
+The machine layer lowers guest code through three tiers:
 
 * **tier 0** — the decoded, bound micro-op table
   (:class:`repro.machine.uops.BoundProgram`), the terminal form the
@@ -9,12 +9,7 @@ The machine layer lowers guest code through four tiers:
   micro-op stream, with hot adjacent micro-ops fused into
   *superinstructions* (compare-and-branch pairs, push runs);
 * **tier 2** (:mod:`repro.machine.jit`) — one ``exec``-compiled Python
-  function per block, threaded together by direct jumps;
-* **tier 3** (:mod:`repro.machine.jit`) — hot loop heads (backward
-  direct-branch targets, :func:`backward_branch_target`) record the
-  block path control takes through them, which is glued into one trace
-  function: a loop trace when the path closes back on its head,
-  otherwise a superblock with guard-protected side exits.
+  function per block, threaded together by direct jumps.
 
 Tier 1's contract: block boundaries are **stable** — derived only from
 addresses, sizes, and direct branch targets, all fixed at bind time —
@@ -23,8 +18,8 @@ head, left only at its final micro-op.  A block's *tier* records how far
 down the pipeline it got: blocks whose every micro-op has a specialized
 handler template lower to tier 2; blocks containing generic-fallback
 handlers (symbolic immediates, indexed memory operands, malformed
-operands) stay at tier 1 and execute on the ``fast`` interpreter via the
-jit backend's deopt path.
+operands) stay at tier 1 and execute on the *reference* interpreter via
+the jit backend's deopt path.
 
 Fusion never changes semantics, counters, or fault behaviour — a fused
 pair still charges two instructions, two costs (in the reference float
@@ -38,9 +33,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.machine.isa import Imm, Op
+from repro.machine.isa import Op
 from repro.machine.uops import GENERIC, BoundProgram, MicroOp, TERMINATOR_OPS
-from repro.numeric import MASK64
 
 __all__ = [
     "BasicBlock",
@@ -49,7 +43,6 @@ __all__ = [
     "fuse_blocks",
     "slice_block",
     "fuse_slice",
-    "backward_branch_target",
     "FUSABLE_COMPARES",
     "FUSABLE_BRANCHES",
 ]
@@ -243,34 +236,6 @@ def slice_block(instructions, addr: int, limit: int = 256) -> List[tuple]:
             break
         addr += instr.size
     return items
-
-
-#: Branches whose backward form signals a loop back edge (direct jumps
-#: and the conditional family; calls never close loops).
-_BACKWARD_BRANCH_OPS = frozenset(
-    {Op.JMP, Op.JE, Op.JNE, Op.JL, Op.JLE, Op.JG, Op.JGE}
-)
-
-
-def backward_branch_target(items: List[tuple]) -> Optional[int]:
-    """Loop-header candidate of one slice, or None.
-
-    A slice whose final instruction is a direct branch to an address at
-    or before itself is a loop back edge by construction (guest code is
-    static; nothing else re-enters earlier text repeatedly).  The tier-3
-    trace recorder (:mod:`repro.machine.jit`) arms exactly these targets
-    for recording.
-    """
-    if not items:
-        return None
-    addr, instr = items[-1]
-    if instr.op not in _BACKWARD_BRANCH_OPS:
-        return None
-    a = instr.a
-    if not isinstance(a, Imm) or a.symbol is not None:
-        return None
-    target = a.value & MASK64
-    return target if target <= addr else None
 
 
 def fuse_slice(items: List[tuple]) -> List[Tuple[str, int, int]]:

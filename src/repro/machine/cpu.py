@@ -40,24 +40,12 @@ from repro.machine.costs import MachineCosts
 from repro.machine.isa import Op
 from repro.machine.process import Process
 from repro.machine.state import MachineState
-from repro.numeric import (  # re-exported for backward compatibility
-    MASK64,
-    SIGN_BIT,
-    to_signed,
-    to_unsigned,
-    truncated_div,
-)
 
 __all__ = [
     "CPU",
     "ExecutionResult",
     "MachineState",
-    "MASK64",
-    "SIGN_BIT",
     "UNTAGGED_TAG",
-    "to_signed",
-    "to_unsigned",
-    "truncated_div",
 ]
 
 #: Attribution bucket for untagged (application) instructions.  With

@@ -1,5 +1,4 @@
-"""Tiers 2 and 3 of the progressive-lowering pipeline: lazy block
-compilation and trace compilation.
+"""Tier 2 of the progressive-lowering pipeline: lazy block compilation.
 
 The ``jit`` backend executes nothing up front.  ``prepare`` is a cheap
 handle around the process's instruction index; lowering happens *per
@@ -18,35 +17,12 @@ dynamic block head, on its second entry*:
   the genuinely uncertain probes (guaranteed intra-block hits are a baked
   constant, :func:`repro.machine.icache.block_line_plan`), and the
   instruction budget is one folded comparison in the block prolog.
-* tier 3 — hot loop heads (backward direct-branch targets, detected at
-  tier-2 compile time) are *armed* with an entry counter; once hot, the
-  driver records the path of tier-2 blocks control takes through them
-  and glues those slices into one trace function
-  (:class:`_TraceCompiler`).  A path returning to its head becomes a
-  **loop trace**: registers, the instruction cursor, the i-cache miss
-  count, and the iteration counter live in Python locals across
-  iterations, per-iteration static charges (cycles, hit/mem/branch
-  bookkeeping) apply as ``it * constant`` only at exits, and accesses
-  through loop-invariant base registers hoist their address arithmetic
-  and page word-view lookups out of the loop.  Any other path becomes a
-  **superblock** (direct call targets inlined past conditional exits).
-  Conditional branches between segments become guards whose off-trace
-  side *flushes the exact executed prefix* and returns the off-trace
-  address — a side exit is a normal return, not a deopt — and indirect
-  transfers (``call reg``/``jmp reg``/``ret``) specialize on the target
-  observed during recording, counting misses; a trace whose guards storm
-  (more failures than half its entries) demotes back to its tier-2
-  block and is blacklisted.  Traces are formed only for lean variants
-  (no tag attribution or opcode counting) and are disabled wholesale
-  with :func:`set_tier3` / ``REPRO_JIT_TIER3=0``.
 
 Block functions thread by address: a function returns the next block
 head as a non-negative ``int`` (register values are masked, so real
 addresses never collide with escapes), ``None`` after EXIT, or the
 bitwise complement ``~addr`` as a *deopt escape*.  The driver trampolines
-between compiled functions through one dictionary lookup; trace
-functions obey the same protocol, so a trace is just a block function
-that covers many blocks (and, for loops, many iterations) per call.
+between compiled functions through one dictionary lookup.
 
 **The deopt contract.**  Anything compiled code cannot reproduce
 *bit-identically* re-enters an interpreter mid-run with all partial
@@ -58,11 +34,7 @@ validated epoch against the drive's mirror of
 slice and only then re-enters compiled code), budget or step-slice
 exhaustion, and faults (compiled blocks charge an exact per-prefix
 constant from a baked table, then re-raise with ``rip`` at the faulting
-instruction; trace bodies key both fault tables by the generated source
-line, since one guest address can occur in more than one segment).  A
-trace deopt re-validates *all* constituent slices before the trace runs
-again, and budget deopts from a loop trace fall through to the
-interpreter exactly like block deopts.  Interpreter segments run block-granular spans on the
+instruction).  Interpreter segments run block-granular spans on the
 *reference* loop directly into the caller's result — exact, because all
 cycle accounting is integer units.  A drive that starts with a trace
 hook installed is delegated to ``fast`` wholesale, matching its
@@ -80,8 +52,6 @@ memory bindings instead of re-generating source
 
 from __future__ import annotations
 
-import os
-import re
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -92,7 +62,7 @@ from repro.errors import (
     ShadowStackViolation,
     StackMisaligned,
 )
-from repro.machine.blocks import backward_branch_target, fuse_slice, slice_block
+from repro.machine.blocks import fuse_slice, slice_block
 from repro.machine.costs import CYCLE_UNIT, costs_signature, fold_cost
 from repro.machine.cpu import UNTAGGED_TAG
 from repro.machine.icache import block_line_plan, line_span
@@ -107,8 +77,6 @@ __all__ = [
     "jit_stats_snapshot",
     "reset_jit_stats",
     "clear_jit_cache",
-    "set_tier3",
-    "tier3_enabled",
 ]
 
 _RSP = int(Reg.RSP)
@@ -121,23 +89,9 @@ _PROMOTE_THRESHOLD = 2
 #: re-enters the pipeline at the cut).
 _SLICE_LIMIT = 256
 
-#: Block-function executions at an armed loop head before a trace is
-#: recorded through it (tier 3).
-_TRACE_THRESHOLD = 8
-
-#: Upper bound on segments (basic blocks) in one trace.
-_TRACE_MAX_SEGMENTS = 8
-
-#: Recording attempts per head before tracing it is given up (aborted
-#: recordings — a deopt mid-path — are retried this many times).
-_TRACE_MAX_TRIES = 3
-
-#: Specialization-guard storm limits: once a trace has been entered more
-#: than ``_BLACKLIST_MIN_ENTRIES`` times with guard failures on more than
-#: half of them, it demotes back to its tier-2 block.
-_BLACKLIST_MIN_ENTRIES = 32
-
 #: Session-wide lowering/observability counters (reported by ``bench``).
+#: The three ``trace*`` keys always read 0 (there is no trace tier); they
+#: stay because ``perfbench/run.py --trace 1`` reads them.
 JIT_STATS = {
     "programs": 0,
     "blocks_compiled": 0,
@@ -145,9 +99,6 @@ JIT_STATS = {
     "deopts": 0,
     "code_cache_hits": 0,
     "traces_compiled": 0,
-    "loop_traces": 0,
-    "superblocks": 0,
-    "trace_side_exits": 0,
     "trace_guard_failures": 0,
     "traces_blacklisted": 0,
 }
@@ -160,29 +111,6 @@ def jit_stats_snapshot() -> Dict[str, int]:
 def reset_jit_stats() -> None:
     for key in JIT_STATS:
         JIT_STATS[key] = 0
-
-
-#: Tier-3 master switch (module-wide).  Defaults on; ``REPRO_JIT_TIER3=0``
-#: in the environment or :func:`set_tier3` turn trace compilation off —
-#: the backend then stops at tier 2 (per-block compilation), which is the
-#: pre-trace behaviour bit for bit.
-_TIER3 = os.environ.get("REPRO_JIT_TIER3", "1") not in ("0", "false", "no", "off")
-
-
-def set_tier3(enabled: bool) -> bool:
-    """Enable/disable tier-3 trace compilation; returns the prior value.
-
-    Takes effect for *newly armed* loop heads: traces already installed
-    keep running (use :func:`clear_jit_cache` plus fresh programs for a
-    clean flip in tests)."""
-    global _TIER3
-    previous = _TIER3
-    _TIER3 = bool(enabled)
-    return previous
-
-
-def tier3_enabled() -> bool:
-    return _TIER3
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +150,6 @@ _JCC_COND = {
     Op.JLE: "<= 0",
     Op.JG: "> 0",
     Op.JGE: ">= 0",
-}
-
-#: Negation of each condition string, for trace side-exit guards.
-_COND_INVERT = {
-    "== 0": "!= 0",
-    "!= 0": "== 0",
-    "< 0": ">= 0",
-    "<= 0": "> 0",
-    "> 0": "<= 0",
-    ">= 0": "< 0",
 }
 
 _VBYTES = {Op.VLOAD: 32, Op.VLOAD512: 64, Op.VSTORE: 32, Op.VSTORE512: 64}
@@ -511,9 +429,7 @@ class _SliceCompiler:
     def __init__(self, addr: int, items, jus: List[_JU], fused, costs,
                  attribute: bool, count_ops: bool, monotone: bool = False):
         self.addr = addr
-        self.items = items
         self.jus = jus
-        self.fused = fused
         self.costs = costs
         self.attribute = attribute
         self.count_ops = count_ops
@@ -1042,536 +958,6 @@ class _SliceCompiler:
 
 
 # ---------------------------------------------------------------------------
-# Tier 3: trace code generation
-# ---------------------------------------------------------------------------
-
-
-class _TraceCompiler(_SliceCompiler):
-    """Generates the source of one tier-3 trace function.
-
-    A trace is a recorded sequence of tier-2 slices glued together.
-    Direct branches between segments disappear, conditional branches
-    become guards whose off-trace side *flushes the exact executed
-    prefix* and returns the off-trace address (a side exit is a normal
-    block-function return with exact counters, not a deopt), and
-    indirect transfers (``call reg``/``jmp reg``/``ret``) specialize on
-    the target observed during recording, with the same flush-and-return
-    miss path.  Loop traces (``closed``: the recorded path returns to
-    its head) wrap the body in a ``while``: the instruction cursor, the
-    i-cache miss count, and the iteration count live in Python locals
-    across iterations, and per-iteration static charges are applied as
-    ``it * constant`` only at exits, deopts, and faults.
-
-    Fault attribution generalizes the block scheme: because one guest
-    address can occur in more than one segment (an inlined callee called
-    twice), both baked tables — faulting line -> rip and faulting line ->
-    executed-prefix stats — are keyed by the *generated source line*
-    directly.  For loop traces the prefix stats are per-iteration; the
-    handler adds the ``it``-scaled full-iteration constants on top.
-
-    Lean accounting only: traces are formed only for variants without
-    tag attribution or opcode counting (observability runs stay at
-    tier 2, whose rich codegen is already exact per block).
-    """
-
-    # Per-iteration/total static constants are unknown until the whole
-    # body is emitted; flush sites reference them through these tokens,
-    # substituted once at the end of :meth:`generate`.
-    _T_K = "_KIT_"   # cycle units per iteration / trace
-    _T_G = "_GIT_"   # i-cache hit charges (guaranteed + probed) per iteration
-    _T_O = "_OIT_"   # memory ops per iteration
-    _T_I = "_ILN_"   # instructions per iteration
-    _T_B = "_BIT_"   # branches retired at glue sites per iteration / trace
-    _T_T = "_TIT_"   # taken branches at glue sites per iteration / trace
-    _T_C = "_CIT_"   # calls at glue sites per iteration / trace
-    _T_R = "_RIT_"   # returns at glue sites per iteration / trace
-    #: Register write-back site: expands to one semicolon-joined line
-    #: restoring every cached register into ``r`` (line counts are stable,
-    #: so the baked line tables stay valid).
-    _T_W = "_WB_"
-
-    #: Register accesses in emitted statements (``r[<index>]``); each one
-    #: rewrites to a trace-local ``g<index>``.
-    _REG_REF = re.compile(r"\br\[(\d+)\]")
-
-    def __init__(self, head: int, segments, glues, costs, monotone: bool,
-                 closed: bool, hoist_bases: frozenset = frozenset()):
-        self.addr = head
-        self.segments = segments
-        self.glues = glues
-        self.costs = costs
-        self.closed = closed
-        #: Loop-invariant base registers (second compile pass only):
-        #: static ``off + base`` accesses through them hoist the address
-        #: arithmetic and page word-view lookup out of the loop.  Pure
-        #: fast-path caching — a view that appears mid-call (a store
-        #: materializing a page) just keeps taking the accessor fallback,
-        #: and nothing can invalidate a view mid-call (permission epochs
-        #: only move at runtime services, which end traces).
-        self.hoist_bases = hoist_bases if closed else frozenset()
-        self._slots: Dict[Tuple[int, Optional[int]], int] = {}
-        self._slot_kinds: Dict[Tuple[int, Optional[int]], set] = {}
-        self.attribute = False
-        self.count_ops = False
-        self.rich = False
-        self.num_sets = costs.icache_size // (costs.icache_line * costs.icache_ways)
-        self.ways = costs.icache_ways
-        self.penalty = costs.icache_miss_penalty_units
-        self.lines: List[str] = []
-        all_jus = [j for _, _, jus, _ in segments for j in jus]
-        self.total = len(all_jus)
-        self.needs_try = any(_faultable(j) for j in all_jus)
-        base = "        " if self.needs_try else "    "
-        self.indent = base + "    " if closed else base
-        self._plans = [
-            block_line_plan([(a, i.size) for a, i in items], costs.icache_line)
-            for _, items, _, _ in segments
-        ]
-        self.has_probe = any(
-            must for plan in self._plans for probes in plan for _, must in probes
-        )
-        self.monotone = monotone
-        self.has_mem_any = any(j.has_mem for j in all_jus)
-        self.used_shadow = any(j.op in (Op.CALL, Op.RET) for j in all_jus)
-        self.spec = any(g[0] in ("call-ind", "jmp-ind", "ret") for g in glues)
-        # Branch bookkeeping at glue sites is static per iteration — it is
-        # hoisted into the same flush-time constants as the counters.
-        kinds = [kind for kind, _ in glues]
-        self.hoist_b = any(k in ("jmp", "jcc", "jmp-ind") for k in kinds)
-        self.hoist_c = any(k in ("call", "call-ind") for k in kinds)
-        self.hoist_r = any(k == "ret" for k in kinds)
-        self.stat_x = 0
-        self.stat_k = 0
-        self.stat_g = 0
-        self.stat_o = 0
-        self.stat_p = 0
-        self.stat_b = 0
-        self.stat_t = 0
-        self.stat_c = 0
-        self.stat_r = 0
-        self._pending: List[Tuple[int, int]] = []
-        self._line_rip: List[int] = []
-        self._line_stats: List[Tuple[int, ...]] = []
-        self._ctx_rip = next((j.rip for j in all_jus if _faultable(j)), 0)
-        self._ctx_stats = (0, 0, 0, 0, 0, 0, 0, 0, 0)
-        self.used_miss = False
-        self.used_mem = False
-        #: Registers referenced anywhere in the body (insertion-ordered);
-        #: each lives in a local ``g<index>`` for the whole trace.
-        self.cached: Dict[int, None] = {}
-
-    # -- overrides ---------------------------------------------------------
-
-    def emit(self, line: str) -> None:
-        if "r[" in line:
-            line = self._REG_REF.sub(self._cache_reg, line)
-        self.lines.append(self.indent + line)
-        self._line_rip.append(self._ctx_rip)
-        self._line_stats.append(self._ctx_stats)
-
-    def _cache_reg(self, match) -> str:
-        index = int(match.group(1))
-        self.cached[index] = None
-        return f"g{index}"
-
-    def written_regs(self) -> set:
-        """Registers assigned anywhere in the emitted body (register
-        writes are always plain ``g<i> = expr`` statements)."""
-        written = set()
-        for line in self.lines:
-            for stmt in re.split(r"[;:]", line):
-                if " = " not in stmt:
-                    continue
-                lhs = stmt.split(" = ", 1)[0].strip()
-                match = re.fullmatch(r"g(\d+)", lhs)
-                if match:
-                    written.add(int(match.group(1)))
-        return written
-
-    def _slot(self, off: int, base: int, write: bool) -> int:
-        key = (off, base)
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = self._slots[key] = len(self._slots)
-            self._slot_kinds[key] = set()
-        self._slot_kinds[key].add("w" if write else "r")
-        self.cached[base] = None
-        return slot
-
-    def emit_load(self, target: str, off: int, base: Optional[int]) -> None:
-        if base is not None and base in self.hoist_bases:
-            j = self._slot(off, base, False)
-            self.emit(
-                f"{target} = ur{j}[y{j}] if ur{j} is not None else RW(q{j})"
-            )
-            return
-        super().emit_load(target, off, base)
-
-    def emit_store(self, off: int, base: Optional[int], value: str) -> None:
-        if base is not None and base in self.hoist_bases:
-            j = self._slot(off, base, True)
-            self.emit(f"if uw{j} is None: WW(q{j}, {value})")
-            self.emit(f"else: uw{j}[y{j}] = {value}")
-            return
-        super().emit_store(off, base, value)
-
-    def flush_stmts(self) -> List[str]:
-        # Only the final superblock terminator uses this: every glue site
-        # has executed, so the hoisted branch totals are the trace totals.
-        out = [self._T_W] + super().flush_stmts()
-        if self.hoist_b:
-            out.append(f"cpu._bk_branches += {self._T_B}")
-            out.append(f"cpu._bk_taken += {self._T_T}")
-        if self.hoist_c:
-            out.append(f"cpu._bk_calls += {self._T_C}")
-        if self.hoist_r:
-            out.append(f"cpu._bk_rets += {self._T_R}")
-        return out
-
-    def account_lean(self, position: int, ju: _JU) -> None:
-        for line, must_probe in self.plan[position]:
-            if not must_probe:
-                self.stat_g += 1
-                continue
-            self._pending.append((line % self.num_sets, line))
-        self.stat_x += 1
-        self.stat_k += fold_cost(self.costs, ju.op, 0, ju.has_mem)
-        if ju.has_mem:
-            self.stat_o += 1
-        if self.needs_try and _faultable(ju):
-            self.flush_probes()
-            self._ctx_rip = ju.rip
-            self._ctx_stats = (
-                self.stat_x, self.stat_k, self.stat_g, self.stat_o, self.stat_p,
-                self.stat_b, self.stat_t, self.stat_c, self.stat_r,
-            )
-
-    # -- trace-specific emission -------------------------------------------
-
-    def _load_segment(self, index: int, addr: int, items, jus, fused) -> None:
-        self.seg_addr = addr
-        self.items = items
-        self.jus = jus
-        self.fused = fused
-        self.fused_cmp = any(kind == "cmp+jcc" for kind, _, _ in fused)
-        self.push_runs = {start: count for kind, start, count in fused
-                          if kind == "push-run"}
-        self._run_positions = set()
-        for start, count in self.push_runs.items():
-            self._run_positions.update(range(start + 1, start + count))
-        self.plan = self._plans[index]
-
-    def _side_exit(self, pad: str, ret_expr: str, guard_fail: bool = False) -> None:
-        """Flush the exact executed prefix and leave the trace through a
-        normal (non-deopt) return of the off-trace address."""
-        x, k, g, o, p = self.stat_x, self.stat_k, self.stat_g, self.stat_o, self.stat_p
-        out: List[str] = [self._T_W]
-        if self.closed:
-            out.append(f"C[0] = n + {x}")
-            if self.has_probe:
-                out.append(f"C[1] += it * {self._T_K} + {k} + m * {self.penalty}")
-                out.append(f"C[3] += it * {self._T_G} + {g + p} - m")
-                out.append("C[4] += m")
-            else:
-                out.append(f"C[1] += it * {self._T_K} + {k}")
-                out.append(f"C[3] += it * {self._T_G} + {g}")
-            if self.has_mem_any:
-                out.append(f"C[2] += it * {self._T_O} + {o}")
-        else:
-            out.append("C[0] = n" if x == self.total else f"C[0] = n - {self.total - x}")
-            if self.has_probe:
-                out.append(f"C[1] += {k} + m * {self.penalty}")
-                out.append(f"C[3] += {g + p} - m")
-                out.append("C[4] += m")
-            else:
-                out.append(f"C[1] += {k}")
-                if g:
-                    out.append(f"C[3] += {g}")
-            if o:
-                out.append(f"C[2] += {o}")
-        b, t = self.stat_b, self.stat_t
-        c, rr = self.stat_c, self.stat_r
-        if self.closed:
-            def scaled(token: str, prefix: int) -> str:
-                return f"it * {token} + {prefix}" if prefix else f"it * {token}"
-            if self.hoist_b:
-                out.append(f"cpu._bk_branches += {scaled(self._T_B, b)}")
-                out.append(f"cpu._bk_taken += {scaled(self._T_T, t)}")
-            if self.hoist_c:
-                out.append(f"cpu._bk_calls += {scaled(self._T_C, c)}")
-            if self.hoist_r:
-                out.append(f"cpu._bk_rets += {scaled(self._T_R, rr)}")
-        else:
-            if b:
-                out.append(f"cpu._bk_branches += {b}")
-            if t:
-                out.append(f"cpu._bk_taken += {t}")
-            if c:
-                out.append(f"cpu._bk_calls += {c}")
-            if rr:
-                out.append(f"cpu._bk_rets += {rr}")
-        if guard_fail:
-            out.append("tc[1] += 1")
-            out.append("JS['trace_guard_failures'] += 1")
-        out.append("JS['trace_side_exits'] += 1")
-        out.append(f"return {ret_expr}")
-        for stmt in out:
-            self.emit(pad + stmt)
-
-    def _emit_glue(self, ju: _JU, glue: Tuple[str, int]) -> None:
-        """Lower one mid-trace terminator: branch bookkeeping, the guard
-        (when the transfer is conditional or specialized), and the fall
-        into the next segment's code."""
-        kind, nh = glue
-        if kind == "jmp":
-            self.stat_b += 1
-            self.stat_t += 1
-        elif kind == "jcc":
-            cond = _JCC_COND[ju.op]
-            value = "w_" if self.fused_cmp else "cpu._cmp"
-            self.stat_b += 1
-            if nh == ju.target:
-                # On-trace direction is taken; the guard exits through
-                # the fall-through on the inverted condition (the exit
-                # prefix therefore excludes this branch's taken count).
-                self.emit(f"if {value} {_COND_INVERT[cond]}:")
-                self._side_exit("    ", repr(ju.next_rip))
-                self.stat_t += 1
-            else:
-                self.emit(f"if {value} {cond}:")
-                self.stat_t += 1
-                self._side_exit("    ", repr(ju.target))
-                self.stat_t -= 1
-        elif kind in ("call", "call-ind"):
-            self.emit(f"if cpu.check_alignment and r[{_RSP}] % 16 != 0:")
-            self.emit(
-                "    raise SM('rsp=%#x not 16-byte aligned at call "
-                f"({ju.rip:#x})' % r[{_RSP}])"
-            )
-            if kind == "call-ind":
-                self.emit(f"tv = r[{ju.a_reg}]")
-            self.emit(f"p = (r[{_RSP}] - 8) & M")
-            self.emit(f"r[{_RSP}] = p")
-            self.emit_store_q("p", repr(ju.next_rip))
-            self.emit("if sh is not None:")
-            self.emit(f"    sh.append({ju.next_rip})")
-            self.stat_c += 1
-            if kind == "call-ind":
-                self.emit(f"if tv != {nh}:")
-                self._side_exit("    ", "tv", guard_fail=True)
-        elif kind == "jmp-ind":
-            self.stat_b += 1
-            self.stat_t += 1
-            self.emit(f"tv = r[{ju.a_reg}]")
-            self.emit(f"if tv != {nh}:")
-            self._side_exit("    ", "tv", guard_fail=True)
-        elif kind == "ret":
-            self.emit(f"p = r[{_RSP}]")
-            self.emit_load_q("tv", "p")
-            self.emit(f"r[{_RSP}] = (p + 8) & M")
-            self.emit("if sh is not None:")
-            self.emit("    ex = sh.pop() if sh else 0")
-            self.emit("    if ex != tv:")
-            self.emit("        raise SSV(ex, tv)")
-            self.stat_r += 1
-            self.emit(f"if tv != {nh}:")
-            self._side_exit("    ", "tv", guard_fail=True)
-        else:  # pragma: no cover - formation only produces the kinds above
-            raise AssertionError(kind)
-
-    # -- assembly ----------------------------------------------------------
-
-    def generate(self) -> str:
-        H = self.addr
-        glues = self.glues
-        for index, (addr, items, jus, fused) in enumerate(self.segments):
-            self._load_segment(index, addr, items, jus, fused)
-            last = len(jus) - 1
-            glue = glues[index] if index < len(glues) else None
-            for position, ju in enumerate(jus):
-                self.account_lean(position, ju)
-                if position == last:
-                    self.flush_probes()
-                    if glue is None:
-                        # Final segment of a superblock: the terminator
-                        # flushes the whole-trace totals (the base
-                        # emitter's flush is exact here — ``n`` already
-                        # includes the trace length).
-                        if self.monotone and self.has_probe:
-                            self.emit(f"if not f: PD[{~H}] = 1")
-                        self.emit_terminator(ju)
-                    else:
-                        self._emit_glue(ju, glue)
-                else:
-                    self.emit_semantics(position, ju)
-        if self.closed:
-            self.emit("it += 1")
-            self.emit(f"n = n + {self._T_I}")
-            if self.monotone and self.has_probe:
-                # All probes of the trace have now run once; their lines
-                # are resident forever (nothing ever evicts).
-                self.emit("if not f:")
-                self.emit(f"    PD[{~H}] = 1")
-                self.emit("    f = 1")
-
-        name = f"t_{H:x}"
-        head = [f"def {name}(cpu, r, S, C):"]
-        if self.spec:
-            head.append(f"    tc = TC_{H:x}")
-            head.append("    tc[0] += 1")
-            head.append(
-                f"    if tc[0] > {_BLACKLIST_MIN_ENTRIES} and tc[1] * 2 > tc[0]:"
-            )
-            head.append(f"        DM.append({H})")
-            head.append(f"        return {~H}")
-        if self.closed:
-            head.append("    n = C[0]")
-        else:
-            head.append(f"    n = C[0] + {self.total}")
-            head.append(f"    if n > C[5] or ET[{H}] != C[6]:")
-            head.append(f"        return {~H}")
-        if self.has_probe:
-            head.append("    m = 0")
-            if self.monotone:
-                head.append(f"    f = {~H} in PD")
-        if self.used_shadow:
-            head.append("    sh = cpu._bk_shadow")
-        if self.closed:
-            head.append("    it = 0")
-        if self.cached:
-            head.append(
-                "    " + "; ".join(f"g{i} = r[{i}]" for i in self.cached)
-            )
-        for (off, base), j in self._slots.items():
-            head.append(
-                f"    q{j} = ({off!r} + g{base}) & M; "
-                f"z_ = q{j} & 4095; y{j} = z_ >> 3"
-            )
-            kinds = self._slot_kinds[(off, base)]
-            if "r" in kinds:
-                head.append(f"    ur{j} = None if z_ & 7 else RMG(q{j} - z_)")
-            if "w" in kinds:
-                head.append(f"    uw{j} = None if z_ & 7 else WMG(q{j} - z_)")
-        if self.needs_try:
-            head.append("    try:")
-        if self.closed:
-            w = "        " if self.needs_try else "    "
-            head.append(w + "while 1:")
-            head.append(w + f"    if n + {self._T_I} > C[5] or ET[{H}] != C[6]:")
-            pad = w + "        "
-            head.append(pad + self._T_W)
-            head.append(pad + "C[0] = n")
-            if self.has_probe:
-                head.append(pad + f"C[1] += it * {self._T_K} + m * {self.penalty}")
-                head.append(pad + f"C[3] += it * {self._T_G} - m")
-                head.append(pad + "C[4] += m")
-            else:
-                head.append(pad + f"C[1] += it * {self._T_K}")
-                head.append(pad + f"C[3] += it * {self._T_G}")
-            if self.has_mem_any:
-                head.append(pad + f"C[2] += it * {self._T_O}")
-            if self.hoist_b:
-                head.append(pad + f"cpu._bk_branches += it * {self._T_B}")
-                head.append(pad + f"cpu._bk_taken += it * {self._T_T}")
-            if self.hoist_c:
-                head.append(pad + f"cpu._bk_calls += it * {self._T_C}")
-            if self.hoist_r:
-                head.append(pad + f"cpu._bk_rets += it * {self._T_R}")
-            head.append(pad + f"return {~H}")
-
-        tail: List[str] = []
-        if self.needs_try:
-            tail.append("    except BaseException:")
-            tail.append("        L = TB()")
-            tail.append(f"        I = LNT_{H:x}[L]")
-            tail.append(
-                f"        x_, k_, g_, o_, p_, b_, t_, c_, r_ = XT_{H:x}[L]"
-            )
-            if self.closed:
-                tail.append("        C[0] = n + x_")
-                itk, itg, ito = (
-                    f"it * {self._T_K} + ", f"it * {self._T_G} + ",
-                    f"it * {self._T_O} + ",
-                )
-            else:
-                tail.append("        C[0] += x_")
-                itk = itg = ito = ""
-            if self.has_probe:
-                tail.append(f"        C[1] += {itk}k_ + m * {self.penalty}")
-                tail.append(f"        C[3] += {itg}g_ + p_ - m")
-                tail.append("        C[4] += m")
-            else:
-                tail.append(f"        C[1] += {itk}k_")
-                tail.append(f"        C[3] += {itg}g_ + p_")
-            if self.has_mem_any:
-                tail.append(f"        C[2] += {ito}o_")
-            def it_scaled(token: str) -> str:
-                return f"it * {token} + " if self.closed else ""
-
-            if self.hoist_b:
-                tail.append(f"        cpu._bk_branches += {it_scaled(self._T_B)}b_")
-                tail.append(f"        cpu._bk_taken += {it_scaled(self._T_T)}t_")
-            if self.hoist_c:
-                tail.append(f"        cpu._bk_calls += {it_scaled(self._T_C)}c_")
-            if self.hoist_r:
-                tail.append(f"        cpu._bk_rets += {it_scaled(self._T_R)}r_")
-            tail.append("        " + self._T_W)
-            tail.append("        cpu.rip = I")
-            tail.append("        raise")
-
-        first_body = len(head) + 1
-        self.ln = {
-            first_body + index: rip for index, rip in enumerate(self._line_rip)
-        }
-        self.xt = {
-            first_body + index: stats
-            for index, stats in enumerate(self._line_stats)
-        }
-        writeback = "; ".join(f"r[{i}] = g{i}" for i in self.cached) or "pass"
-        source = "\n".join(head + self.lines + tail)
-        return (
-            source
-            .replace(self._T_W, writeback)
-            .replace(self._T_K, repr(self.stat_k))
-            .replace(self._T_G, repr(self.stat_g + self.stat_p))
-            .replace(self._T_O, repr(self.stat_o))
-            .replace(self._T_I, repr(self.total))
-            .replace(self._T_B, repr(self.stat_b))
-            .replace(self._T_T, repr(self.stat_t))
-            .replace(self._T_C, repr(self.stat_c))
-            .replace(self._T_R, repr(self.stat_r))
-        )
-
-
-class _TraceUnit:
-    """One compiled trace, shareable across processes of one image.
-
-    ``segments`` lists the constituent slice heads (in trace order) —
-    the driver fetch-revalidates all of them before re-entering the
-    trace after an epoch deopt, and the CLI renders trace membership
-    from them.  ``ln_table``/``xt_table`` are the line-keyed fault
-    tables (see :class:`_TraceCompiler`)."""
-
-    __slots__ = (
-        "code", "name", "head", "kind", "segments", "length", "spec",
-        "ln_table", "xt_table",
-    )
-
-    def __init__(self, code, name: str, head: int, kind: str,
-                 segments: List[int], length: int, spec: bool,
-                 ln_table, xt_table):
-        self.code = code
-        self.name = name
-        self.head = head
-        self.kind = kind
-        self.segments = segments
-        self.length = length
-        self.spec = spec
-        self.ln_table = ln_table
-        self.xt_table = xt_table
-
-
-# ---------------------------------------------------------------------------
 # Compiled-code cache, variants, and programs
 # ---------------------------------------------------------------------------
 
@@ -1583,21 +969,16 @@ class _BlockUnit:
     :class:`_SliceCompiler`): linked into the execution namespace as
     plain objects so the source ``compile()`` parses stays small."""
 
-    __slots__ = (
-        "code", "name", "length", "fused", "x_table", "ln_table", "back_target",
-    )
+    __slots__ = ("code", "name", "length", "fused", "x_table", "ln_table")
 
     def __init__(self, code, name: str, length: int, fused: int,
-                 x_table=None, ln_table=None, back_target: Optional[int] = None):
+                 x_table=None, ln_table=None):
         self.code = code
         self.name = name
         self.length = length
         self.fused = fused
         self.x_table = x_table
         self.ln_table = ln_table
-        #: Backward direct-branch target (a loop-header candidate the
-        #: tier-3 promoter arms for trace recording), or None.
-        self.back_target = back_target
 
 
 #: (fingerprint, digest, layout bases, costs signature, flags) ->
@@ -1620,26 +1001,10 @@ class _Variant:
 
     __slots__ = (
         "flags", "units", "table", "entries", "no_compile", "epochs", "namespace",
-        "pending", "demote", "armed", "loop_targets", "no_trace", "trace_tries",
-        "trace_meta", "trace_epochs", "blacklist",
     )
 
     def __init__(self, program: "JitProgram", flags: Tuple[bool, bool]):
         self.flags = flags
-        # Tier-3 state.  ``pending`` is the list armed loop-head wrappers
-        # append to when their entry counter crosses the trace threshold
-        # (the driver polls its truthiness once per block transition);
-        # ``demote`` is the list blacklisting trace prologs append to.
-        self.pending: List[int] = []
-        self.demote: List[int] = []
-        self.armed: Dict[int, object] = {}
-        self.loop_targets: set = set()
-        self.no_trace: set = set()
-        self.trace_tries: Dict[int, int] = {}
-        #: Trace head -> {"kind", "segments", "length", "block_fn"}.
-        self.trace_meta: Dict[int, dict] = {}
-        self.trace_epochs: Dict[int, int] = {}
-        self.blacklist: set = set()
         monotone = program.monotone()
         key = (
             None if program.cache_key is None
@@ -1673,9 +1038,6 @@ class _Variant:
             "OA": process.output.append,
             "PSV": process.service,
             "E": self.epochs,
-            "ET": self.trace_epochs,
-            "DM": self.demote,
-            "JS": JIT_STATS,
             "TB": _fault_lineno,
         }
         namespace["PRB1"], namespace["PRB"] = _make_probers(
@@ -1751,11 +1113,8 @@ class JitProgram:
         compiled = set()
         interp_only = set()
         fused = 0
-        traces = self.trace_info()
         for variant in self.variants.values():
             for addr, unit in variant.units.items():
-                if isinstance(addr, tuple):
-                    continue  # trace units counted through trace_info()
                 if unit is None:
                     interp_only.add(addr)
                 elif addr not in compiled:
@@ -1766,28 +1125,7 @@ class JitProgram:
             "tier2_blocks": len(compiled),
             "tier1_blocks": len(interp_only),
             "superinstructions_fused": fused,
-            "tier3_traces": len(traces),
-            "loop_traces": sum(
-                1 for meta in traces.values() if meta["kind"] == "loop"
-            ),
-            "superblocks": sum(
-                1 for meta in traces.values() if meta["kind"] == "superblock"
-            ),
         }
-
-    def trace_info(self) -> Dict[int, dict]:
-        """Installed tier-3 traces across variants: head -> {kind,
-        segments, length} (the ``disasm-blocks`` CLI renders this)."""
-        info: Dict[int, dict] = {}
-        for variant in self.variants.values():
-            for head, meta in variant.trace_meta.items():
-                if head not in info:
-                    info[head] = {
-                        "kind": meta["kind"],
-                        "segments": list(meta["segments"]),
-                        "length": meta["length"],
-                    }
-        return info
 
 
 # ---------------------------------------------------------------------------
@@ -1862,269 +1200,7 @@ class JitBackend:
         fn = namespace[unit.name]
         variant.epochs.setdefault(addr, -1)
         variant.table[addr] = fn
-        if _TIER3 and not (variant.flags[0] or variant.flags[1]):
-            fn = self._tier3_promote(program, variant, addr, fn, unit)
         return fn
-
-    # -- tier 3: arming, recording, formation -------------------------------
-
-    def _tier3_promote(self, program, variant, addr: int, fn, unit):
-        """Tier-3 hooks at block promotion: install a cached trace for
-        this head outright (lockstep replicas of one image record and
-        compile each trace exactly once), or arm loop-header candidates
-        — this block's backward branch target, and this head itself if a
-        back edge was seen before it was promoted."""
-        tunit = variant.units.get(("t", addr))
-        if tunit is not None and addr not in variant.blacklist:
-            JIT_STATS["code_cache_hits"] += 1
-            return self._install_trace(variant, addr, tunit, fn)
-        back = unit.back_target
-        if back is not None:
-            if back in variant.table or back == addr:
-                self._arm(variant, back)
-            else:
-                variant.loop_targets.add(back)
-        if addr in variant.loop_targets:
-            self._arm(variant, addr)
-        return variant.table[addr]
-
-    def _arm(self, variant, head: int) -> None:
-        """Wrap the compiled block at ``head`` with an entry counter that
-        requests trace recording once the head proves hot.  The wrapper
-        is the only tier-3 cost a non-hot block ever pays, and it is
-        removed again as soon as the head is traced or given up."""
-        if (
-            head in variant.armed
-            or head in variant.trace_meta
-            or head in variant.no_trace
-            or head in variant.blacklist
-        ):
-            return
-        fn = variant.table.get(head)
-        if fn is None:
-            variant.loop_targets.add(head)
-            return
-        counter = [0]
-        pending = variant.pending
-
-        def counting(cpu, r, S, C, _fn=fn, _c=counter, _h=head, _p=pending):
-            value = _fn(cpu, r, S, C)
-            _c[0] += 1
-            if _c[0] == _TRACE_THRESHOLD:
-                _p.append(_h)
-            return value
-
-        variant.armed[head] = fn
-        variant.table[head] = counting
-
-    def _disarm(self, variant, head: int) -> None:
-        fn = variant.armed.pop(head, None)
-        if fn is not None:
-            variant.table[head] = fn
-
-    def _record(self, program, variant, cpu, r, S, C, rip: int, value):
-        """Drive execution while recording the head path for the most
-        recently requested trace.  Entered from the driver right after
-        the block at ``rip`` returned ``value``; returns the last
-        undispatched block-function result (the driver resumes from it).
-
-        Recording starts when control reaches the requested head and
-        stops at: the head again (a closed loop trace), the segment
-        limit or EXIT (a superblock), a deopt escape (abort — retried a
-        bounded number of times), or a head with no compiled function
-        (the partial path still forms a superblock when long enough)."""
-        pending = variant.pending
-        head = pending[-1]
-        table_get = variant.table.get
-        path: Optional[List[int]] = [head] if rip == head else None
-        while True:
-            if value is None:
-                if path is not None:
-                    pending.pop()
-                    self._finish_recording(program, variant, head, path, False)
-                return None
-            if value < 0:
-                if path is not None:
-                    pending.pop()
-                    self._abort_recording(variant, head)
-                return value
-            nxt = value
-            if path is not None:
-                if nxt == head:
-                    pending.pop()
-                    self._finish_recording(program, variant, head, path, True)
-                    return value
-                if len(path) >= _TRACE_MAX_SEGMENTS:
-                    pending.pop()
-                    self._finish_recording(program, variant, head, path, False)
-                    return value
-            fn = table_get(nxt)
-            if fn is None:
-                if path is not None:
-                    pending.pop()
-                    if len(path) >= 2:
-                        self._finish_recording(program, variant, head, path, False)
-                    else:
-                        self._abort_recording(variant, head)
-                return value
-            cpu.rip = nxt
-            rip = nxt
-            value = fn(cpu, r, S, C)
-            if path is not None:
-                path.append(rip)
-            elif rip == head:
-                path = [rip]
-
-    def _abort_recording(self, variant, head: int) -> None:
-        tries = variant.trace_tries.get(head, 0) + 1
-        variant.trace_tries[head] = tries
-        self._disarm(variant, head)
-        if tries >= _TRACE_MAX_TRIES:
-            variant.no_trace.add(head)
-        else:
-            self._arm(variant, head)
-
-    def _finish_recording(self, program, variant, head: int,
-                          path: List[int], closed: bool) -> None:
-        self._disarm(variant, head)
-        variant.loop_targets.discard(head)
-        cached = variant.units.get(("t", head))
-        if cached is not None and head not in variant.blacklist:
-            JIT_STATS["code_cache_hits"] += 1
-            self._install_trace(variant, head, cached, variant.table[head])
-            return
-        if self._form_trace(program, variant, head, path, closed) is None:
-            variant.no_trace.add(head)
-
-    @staticmethod
-    def _glue_for(ju: _JU, nh: int):
-        """Glue descriptor lowering the transition from a segment ending
-        in ``ju`` to the recorded next head ``nh``, or None when the
-        trace must end before ``nh``."""
-        op = ju.op
-        if op is Op.JMP:
-            if ju.ka == "I":
-                return ("jmp", nh) if ju.target == nh else None
-            return ("jmp-ind", nh)
-        if op in _JCC_COND:
-            if nh == ju.target or nh == ju.next_rip:
-                return ("jcc", nh)
-            return None
-        if op is Op.CALL:
-            if ju.ka == "I":
-                return ("call", nh) if ju.target == nh else None
-            return ("call-ind", nh)
-        if op is Op.RET:
-            return ("ret", nh)
-        # CALLRT (runtime services can move the permission epoch), TRAP,
-        # EXIT, and slice cuts end a trace.
-        return None
-
-    def _form_trace(self, program, variant, head: int, path: List[int],
-                    closed: bool):
-        """Validate a recorded head path, truncating at the first
-        segment that cannot lower or glue, then compile and install the
-        trace.  Returns the linked trace function, or None."""
-        instructions = program.instructions
-        segments = []
-        for h in path:
-            items = slice_block(instructions, h, _SLICE_LIMIT)
-            if not items:
-                break
-            jus: List[_JU] = []
-            for iaddr, instr in items:
-                ju = _classify(iaddr, instr)
-                if ju is None:
-                    break
-                jus.append(ju)
-            if len(jus) != len(items):
-                break
-            segments.append((h, items, jus, fuse_slice(items)))
-        if not segments:
-            return None
-        kept = segments[:1]
-        glues = []
-        for index in range(len(segments) - 1):
-            glue = self._glue_for(segments[index][2][-1], segments[index + 1][0])
-            if glue is None:
-                break
-            glues.append(glue)
-            kept.append(segments[index + 1])
-        is_closed = closed and len(kept) == len(path)
-        if is_closed:
-            glue = self._glue_for(kept[-1][2][-1], head)
-            if glue is None:
-                is_closed = False
-            else:
-                glues.append(glue)
-        if not is_closed:
-            # Registers live in locals inside a trace; a CALLRT tail would
-            # hand the runtime service a stale register file (and lose its
-            # writes), so traces stop before runtime calls.
-            while kept and kept[-1][2][-1].op is Op.CALLRT:
-                kept.pop()
-                if glues:
-                    glues.pop()
-            if len(kept) < 2:
-                return None
-        compiler = _TraceCompiler(
-            head, kept, glues, program.costs, program.monotone(), is_closed,
-        )
-        source = compiler.generate()
-        if is_closed:
-            # Second pass: registers never written in the body are
-            # loop-invariant, so accesses through them can hoist the
-            # address arithmetic and page-view lookups out of the loop.
-            invariant = frozenset(compiler.cached) - compiler.written_regs()
-            if invariant:
-                compiler = _TraceCompiler(
-                    head, kept, glues, program.costs, program.monotone(),
-                    is_closed, hoist_bases=invariant,
-                )
-                source = compiler.generate()
-        code = compile(source, f"<jit-trace:{head:#x}>", "exec")
-        unit = _TraceUnit(
-            code, f"t_{head:x}", head,
-            "loop" if is_closed else "superblock",
-            [segment[0] for segment in kept], compiler.total, compiler.spec,
-            compiler.ln if compiler.needs_try else None,
-            compiler.xt if compiler.needs_try else None,
-        )
-        variant.units[("t", head)] = unit
-        JIT_STATS["traces_compiled"] += 1
-        JIT_STATS["loop_traces" if is_closed else "superblocks"] += 1
-        return self._install_trace(variant, head, unit, variant.table[head])
-
-    def _install_trace(self, variant, head: int, unit: _TraceUnit, block_fn):
-        namespace = variant.namespace
-        if unit.ln_table is not None:
-            namespace[f"LNT_{head:x}"] = unit.ln_table
-            namespace[f"XT_{head:x}"] = unit.xt_table
-        if unit.spec:
-            namespace[f"TC_{head:x}"] = [0, 0]
-        exec(unit.code, namespace)
-        fn = namespace[unit.name]
-        variant.trace_epochs.setdefault(head, -1)
-        variant.trace_meta[head] = {
-            "kind": unit.kind,
-            "segments": unit.segments,
-            "length": unit.length,
-            "block_fn": block_fn,
-        }
-        variant.table[head] = fn
-        return fn
-
-    def _demote_all(self, variant) -> None:
-        """Blacklist traces whose specialization guards stormed: restore
-        their tier-2 block functions and never re-trace those heads."""
-        for head in variant.demote:
-            meta = variant.trace_meta.pop(head, None)
-            if meta is None:
-                continue
-            variant.table[head] = meta["block_fn"]
-            variant.blacklist.add(head)
-            JIT_STATS["traces_blacklisted"] += 1
-        del variant.demote[:]
 
     def _compile_slice(self, program, variant, addr: int) -> Optional[_BlockUnit]:
         items = slice_block(program.instructions, addr, _SLICE_LIMIT)
@@ -2150,7 +1226,6 @@ class JitBackend:
             code, f"b_{addr:x}", len(items), len(fused),
             x_table=compiler.xb if compiler.needs_try and not compiler.rich else None,
             ln_table=compiler.ln,
-            back_target=backward_branch_target(items),
         )
 
     # -- execution ----------------------------------------------------------
@@ -2186,10 +1261,6 @@ class JitBackend:
         entries = variant.entries
         no_compile = variant.no_compile
         epochs_get = variant.epochs.get
-        pending = variant.pending
-        demote = variant.demote
-        trace_meta_get = variant.trace_meta.get
-        trace_epochs_get = variant.trace_epochs.get
 
         cpu._bk_shadow = cpu.shadow_stack if cpu.shadow_stack_enabled else None
         cpu._bk_calls = 0
@@ -2237,30 +1308,16 @@ class JitBackend:
                             break
                         continue
                 value = fn(cpu, r, S, C)
-                if pending:
-                    # An armed loop head crossed the trace threshold:
-                    # drive through the recorder until the path resolves.
-                    value = self._record(program, variant, cpu, r, S, C, rip, value)
                 if value is None:
                     break  # EXIT: rip and exit code already set
                 if value >= 0:
                     cpu.rip = value
                     continue
-                # Deopt escape: the prolog rejected the block or trace
-                # (stale fetch epoch, the folded allowance would be
-                # exceeded, or a specialization-guard storm).
+                # Deopt escape: the prolog rejected the block (stale fetch
+                # epoch, or the folded allowance would be exceeded).
                 addr = ~value
                 cpu.rip = addr
-                if demote:
-                    self._demote_all(variant)
-                    continue
-                meta = trace_meta_get(addr)
-                if meta is not None:
-                    if trace_epochs_get(addr, -1) != C[6] and self._revalidate_trace(
-                        program, memory, variant, addr, meta, C
-                    ):
-                        continue
-                elif epochs_get(addr, -1) != C[6] and self._revalidate(
+                if epochs_get(addr, -1) != C[6] and self._revalidate(
                     program, memory, variant.epochs, addr, C
                 ):
                     continue
@@ -2360,24 +1417,5 @@ class JitBackend:
             return False
         epoch = memory.perm_epoch
         epochs[addr] = epoch
-        C[6] = epoch
-        return True
-
-    def _revalidate_trace(self, program, memory, variant, head: int,
-                          meta, C) -> bool:
-        """Fetch-check every constituent slice of a trace against current
-        permissions; only then may the whole trace re-enter compiled
-        code.  On failure the caller falls to the interpreter, which
-        faults with exact counters."""
-        try:
-            for segment in meta["segments"]:
-                for iaddr, instr in slice_block(
-                    program.instructions, segment, _SLICE_LIMIT
-                ):
-                    memory.fetch_check(iaddr, instr.size)
-        except MemoryFault:
-            return False
-        epoch = memory.perm_epoch
-        variant.trace_epochs[head] = epoch
         C[6] = epoch
         return True

@@ -10,9 +10,10 @@ from repro.errors import (
     StackMisaligned,
 )
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU, to_signed, truncated_div
+from repro.machine.cpu import CPU
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.process import AddressSpaceLayout, Process
+from repro.numeric import to_signed, truncated_div
 
 TEXT = 0x5555_0000_0000
 DATA = 0x5555_0010_0000

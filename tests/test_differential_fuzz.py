@@ -2,7 +2,7 @@
 
 Two seeded generators — one emitting machine-level instruction streams,
 one emitting IR modules compiled under random R2C configs — drive every
-registered backend (``reference``, ``fast``, ``jit`` with tier 3 on)
+registered backend (``reference``, ``fast``, ``jit``)
 over the same program and assert the observations are byte-identical:
 the full :class:`ExecutionResult` (instructions, cycles, mem ops,
 i-cache hits/misses, branch/call/ret/trap counts, tag attribution,
@@ -13,8 +13,8 @@ Three layers:
 
 * ``test_corpus_*`` — the committed regression corpus under
   ``tests/corpus/``: pinned seeds that once exercised an interesting
-  path (each fault class, loop traces, guard exits, budget exhaustion
-  mid-loop).  These always run and never change meaning.
+  path (each fault class, hot compiled loops, indirect jumps, budget
+  exhaustion mid-loop).  These always run and never change meaning.
 * ``test_fuzz_machine_seeded`` / ``test_fuzz_ir_seeded`` — the bulk
   seeded sweep.  ``REPRO_FUZZ_CASES`` scales the machine-level case
   count (the IR sweep runs a quarter of it); CI's fuzz leg sets it to
@@ -212,8 +212,8 @@ def machine_spec(seed: int) -> List[Entry]:
         else:
             _gen_hazard(rng, spec)
 
-    # An occasional monomorphic indirect jump over a nop sled — the
-    # tier-3 specializer guards exactly this shape.
+    # An occasional monomorphic indirect jump over a nop sled — a
+    # register-target ``return r[n]`` exit from a compiled block.
     if rng.random() < 0.35:
         reg = rng.choice(GPRS)
         jmp_at = len(spec)
@@ -345,9 +345,9 @@ def check_machine_seed(seed: int, budget: int = BUDGET) -> None:
     """Differential over the machine-level program for ``seed``.
 
     The primary run is *lean* (no opcode counting, no tag attribution) —
-    that is the only variant the jit lowers to tier 3, so loop traces
-    and superblock guards actually execute.  Every fourth seed also runs
-    the rich variant for opcode-count and tag parity."""
+    the jit's hot configuration, whose blocks fold their accounting into
+    static constants and baked fault tables.  Every fourth seed also
+    runs the rich variant for opcode-count and tag parity."""
     spec = machine_spec(seed)
     try:
         differential(lambda: build_process(spec), instruction_budget=budget)
@@ -439,7 +439,7 @@ def ir_module(seed: int):
         acc = main.load_local("acc")
         if choice < 0.30:
             # A counted loop whose body folds a leaf call or arithmetic
-            # into the accumulator — hot enough for tier 3 to trace.
+            # into the accumulator — hot enough for tier 2 to compile.
             ivar = f"i{label}"
             main.local(ivar)
             main.store_local(ivar, 0)
@@ -503,8 +503,8 @@ def check_ir_seed(seed: int) -> None:
         return process
 
     try:
-        # Lean first — the variant tier 3 compiles traces for — then the
-        # rich variant for opcode-count and tag-attribution parity.
+        # Lean first — the jit's hot configuration — then the rich
+        # variant for opcode-count and tag-attribution parity.
         outcome = differential(make, instruction_budget=BUDGET)
         assert outcome["error"] is None, outcome["error"]
         differential(
