@@ -56,7 +56,7 @@ def pytest_addoption(parser):
         "--backend",
         default="reference",
         help="execution backend for experiment runs "
-        "(reference or fast; identical results, different wall time)",
+        "(reference or jit; identical results, different wall time)",
     )
 
 

@@ -387,28 +387,34 @@ def profile_main(argv) -> int:
 
 
 def disasm_blocks_main(argv) -> int:
-    """``python -m repro disasm-blocks``: the tier-1 block CFG of one
-    workload.
+    """``python -m repro disasm-blocks``: the static blocks of one
+    workload, as the jit lowers them.
 
-    Compiles and loads the workload exactly as a run would, recovers the
-    basic-block CFG from the bound micro-op program
-    (:func:`repro.machine.blocks.recover_blocks`), and prints one section
-    per block: address range, instruction count, the tier the
-    progressive-lowering pipeline takes it to (2 = compiles to a block
-    function, 1 = interpreter-only, with the disqualifying reason),
+    Compiles and loads the workload exactly as a run would, partitions
+    its instruction index into static blocks
+    (:func:`repro.machine.blocks.static_blocks`), and prints one section
+    per block: address range, instruction count, the tier the jit takes
+    the slice at that head to (2 = compiles to a block function, 1 =
+    interpreter-only, with the disqualifying instruction),
     superinstruction fusion annotations, and static successor edges.
     """
     from repro.core.compiler import R2CCompiler
     from repro.core.config import R2CConfig
-    from repro.machine.blocks import recover_blocks
-    from repro.machine.loader import load_binary, make_cpu
-    from repro.machine.uops import get_bound_program
+    from repro.machine.blocks import (
+        FUSABLE_BRANCHES,
+        fuse_slice,
+        slice_block,
+        static_blocks,
+    )
+    from repro.machine.isa import Imm, Op
+    from repro.machine.jit import _SLICE_LIMIT, _classify
+    from repro.machine.loader import load_binary
     from repro.workloads.spec import SPEC_BENCHMARKS, build_spec_benchmark
 
     parser = argparse.ArgumentParser(
         prog="python -m repro disasm-blocks",
-        description="Print the recovered basic-block CFG of one workload "
-        "with per-block lowering tiers and fusion annotations.",
+        description="Print the static blocks of one workload with the "
+        "jit's per-block lowering tiers and fusion annotations.",
     )
     parser.add_argument(
         "workload", choices=sorted(SPEC_BENCHMARKS), help="SPEC workload to disassemble"
@@ -426,9 +432,6 @@ def disasm_blocks_main(argv) -> int:
         "--load-seed", type=int, default=1, metavar="N", help="loader ASLR seed"
     )
     parser.add_argument(
-        "--machine", default="epyc-rome", help="cost model (default: epyc-rome)"
-    )
-    parser.add_argument(
         "--tier", type=int, default=None, choices=(1, 2), help="only blocks at this tier"
     )
     args = parser.parse_args(argv)
@@ -440,14 +443,32 @@ def disasm_blocks_main(argv) -> int:
     module = build_spec_benchmark(args.workload)
     binary = R2CCompiler(config).compile(module)
     process = load_binary(binary, seed=args.load_seed)
-    cpu = make_cpu(process, args.machine)
-    program = recover_blocks(get_bound_program(process, cpu.costs))
-    stats = program.stats()
+    instructions = process.instructions
+
+    # Per head: (items shown, tier, reason, fusion).  The tier is the jit's
+    # verdict on the whole slice it would lower at that head, which may
+    # run past the displayed block into its fall-through successors.
+    blocks = []
+    for head, items in static_blocks(instructions, _SLICE_LIMIT).items():
+        bad = next(
+            (
+                (addr, instr)
+                for addr, instr in slice_block(instructions, head, _SLICE_LIMIT)
+                if _classify(addr, instr) is None
+            ),
+            None,
+        )
+        if bad is None:
+            blocks.append((items, 2, None, fuse_slice(items)))
+        else:
+            reason = f"no tier-2 lowering for {bad[1].op.name} at {bad[0]:#x}"
+            blocks.append((items, 1, reason, []))
+    tier2 = sum(1 for block in blocks if block[1] == 2)
     print(
         f"{args.workload} ({args.config}, seed {args.seed}): "
-        f"{stats['blocks']} blocks, {stats['tier2_blocks']} at tier 2, "
-        f"{stats['tier1_blocks']} at tier 1, "
-        f"{stats['superinstructions_fused']} superinstructions fused"
+        f"{len(blocks)} blocks, {tier2} at tier 2, "
+        f"{len(blocks) - tier2} at tier 1, "
+        f"{sum(len(block[3]) for block in blocks)} superinstructions fused"
     )
     # Address -> symbol for block-head labels (function heads only).
     symbols = {
@@ -455,21 +476,40 @@ def disasm_blocks_main(argv) -> int:
         for name, address in sorted(process.symbols.items())
         if "::" not in name
     }
-    for block in program.blocks:
-        if args.tier is not None and block.tier != args.tier:
+    for bid, (items, tier, reason, fused) in enumerate(blocks):
+        if args.tier is not None and tier != args.tier:
             continue
-        label = symbols.get(block.addr)
+        head = items[0][0]
+        last_addr, last = items[-1]
+        end = last_addr + last.size
+        label = symbols.get(head)
         where = f" <{label}>" if label else ""
         print(
-            f"\nblock {block.bid}{where}: [{block.addr:#x}, {block.end:#x}) "
-            f"{len(block)} uops, tier {block.tier}"
+            f"\nblock {bid}{where}: [{head:#x}, {end:#x}) "
+            f"{len(items)} uops, tier {tier}"
         )
-        if block.reason:
-            print(f"  stays tier 1: {block.reason}")
-        for kind, start, count in block.fused:
-            first = block.uops[start]
-            print(f"  fused {kind}: {count} uops from {first.rip:#x}")
-        for kind, target in block.successors():
+        if reason:
+            print(f"  stays tier 1: {reason}")
+        for kind, start, count in fused:
+            print(f"  fused {kind}: {count} uops from {items[start][0]:#x}")
+        op = last.op
+        a = last.a
+        taken = a.value if a.__class__ is Imm and a.symbol is None else None
+        if op is Op.JMP:
+            edges = [("jump", taken)]
+        elif op in FUSABLE_BRANCHES:
+            edges = [("taken", taken), ("fall", end)]
+        elif op is Op.CALL:
+            edges = [("call", taken), ("return-site", end)]
+        elif op is Op.RET:
+            edges = [("ret", None)]
+        elif op is Op.EXIT:
+            edges = []
+        elif op is Op.TRAP:
+            edges = [("trap", None)]
+        else:  # CALLRT, and blocks cut before a leader, fall through
+            edges = [("fall", end)]
+        for kind, target in edges:
             where = f"{target:#x}" if target is not None else "dynamic"
             print(f"  -> {kind} {where}")
     return 0
@@ -538,9 +578,9 @@ def mvee_main(argv) -> int:
     )
     parser.add_argument(
         "--backend",
-        default="fast",
+        default="jit",
         choices=available_backends(),
-        help="execution backend (default: fast)",
+        help="execution backend (default: jit)",
     )
     parser.add_argument(
         "--sync-every", type=int, default=256, metavar="N", help="cross-check batch size"
@@ -752,10 +792,10 @@ def fleet_main(argv) -> int:
     )
     parser.add_argument(
         "--backend",
-        default="fast",
+        default="jit",
         choices=available_backends(),
         help="execution backend for the measured service profiles "
-        "(default: fast; metrics are backend-invariant)",
+        "(default: jit; metrics are backend-invariant)",
     )
     parser.add_argument(
         "--machine", default="epyc-rome", help="cost model (default: epyc-rome)"
@@ -967,7 +1007,7 @@ def main(argv=None) -> int:
         default="reference",
         choices=available_backends(),
         help="execution backend for all runs (default: reference; "
-        "'fast' uses the pre-decoded micro-op pipeline, same results)",
+        "'jit' compiles hot blocks, same results)",
     )
     parser.add_argument(
         "--records-out",
@@ -983,7 +1023,7 @@ def main(argv=None) -> int:
         print(f"  {'lint':13s} Static verification sweep (own flags; see lint --help)")
         print(f"  {'chaos':13s} Fault-injection matrix (own flags; see chaos --help)")
         print(f"  {'profile':13s} Hot-path cycle profile (own flags; see profile --help)")
-        print(f"  {'disasm-blocks':13s} Tier-1 block CFG dump (own flags; see disasm-blocks --help)")
+        print(f"  {'disasm-blocks':13s} Static blocks with jit tiers (own flags; see disasm-blocks --help)")
         print(f"  {'bench':13s} Benchmark regression harness (own flags; see bench --help)")
         print(f"  {'mvee':13s} N-variant lockstep cross-check (own flags; see mvee --help)")
         print(f"  {'mine':13s} Static gadget dataflow miner (own flags; see mine --help)")

@@ -570,7 +570,7 @@ def take_census(
 
     Walks the decoded instruction stream (the same lossless
     representation :func:`repro.toolchain.disasm.parse_listing` round-trips
-    and :func:`repro.machine.blocks.recover_blocks` derives block
+    and :func:`repro.machine.blocks.static_blocks` derives block
     boundaries from): each ``ret`` / indirect transfer terminates the
     suffixes; the backward window stops at control-transfer boundaries
     and at text discontinuities, so every censused suffix is a

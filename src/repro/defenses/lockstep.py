@@ -22,12 +22,12 @@ then cross-checks observable behaviour at the sync point:
   group compares ``rip`` and all sixteen registers at every sync point,
   naming the first mismatching register in the report.
 
-Fetch/decode is amortized across the group: each distinct (binary,
-layout) pays one full ``prepare`` (decode is additionally cached per
-binary fingerprint), and identical-layout replicas receive a cheap
-*clone* of that prepared program (``Backend.clone_program``) instead of
-re-binding — N replicas of one image decode once and bind once, and
-differently diversified binaries each decode once, not once per run.
+Program preparation is amortized across the group: each distinct
+(binary, layout) pays one full ``prepare``, and identical-layout
+replicas receive a cheap *clone* of that prepared program
+(``Backend.clone_program``) — under ``jit`` the clones share compiled
+code objects through the image-keyed code cache, so N replicas of one
+image generate and compile each hot block once.
 
 A divergence is surfaced as a :class:`DivergenceReport` — the
 crash-report analogue for the MVEE detection signal: which variant, at
@@ -201,12 +201,11 @@ class LockstepGroup:
         self.monitor = monitor if monitor is not None else DefenseMonitor()
         costs = costs if costs is not None else get_costs("epyc-rome")
         self.variants: List[LockstepVariant] = []
-        # Fetch/decode amortization: the first variant of each distinct
-        # (binary, layout) pays the full prepare (decode is additionally
-        # cached per binary fingerprint); identical-layout replicas get a
-        # cheap clone of that program instead of re-binding — every
-        # pre-resolved address is layout-derived, so only the memory
-        # reference and per-run fetch state change.
+        # Prepare amortization: the first variant of each distinct
+        # (binary, layout) pays the full prepare; identical-layout
+        # replicas get a cheap clone of that program — every compiled
+        # address is layout-derived, so only the memory bindings and
+        # per-run fetch state change.
         prototypes: Dict[tuple, object] = {}
         for index, process in enumerate(processes):
             state = MachineState(

@@ -174,7 +174,7 @@ def run_fleet(
     rps: float = 300.0,
     duration_seconds: float = 2.0,
     rerand_interval: Optional[float] = 1.0,
-    backend: str = "fast",
+    backend: str = "jit",
     machine: str = "epyc-rome",
     seed: int = 0,
     chaos: bool = False,

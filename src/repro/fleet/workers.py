@@ -117,7 +117,7 @@ class FleetWorker:
         base_config: R2CConfig,
         cache: CompileCache,
         *,
-        backend: str = "fast",
+        backend: str = "jit",
         machine: str = "epyc-rome",
         load_seed: int = 0xF1EE7,
         instruction_budget: int = 5_000_000,

@@ -18,11 +18,11 @@ assumes.  It provides:
 * :mod:`repro.machine.cpu` — the classic ``CPU`` façade: one state bound
   to one decoded program under a named backend, with cycle/call
   accounting in :class:`ExecutionResult`.
-* :mod:`repro.machine.uops` / :mod:`repro.machine.backends` — the
-  fetch/decode/execute pipeline: binaries are decoded once into
-  pre-resolved micro-ops (cached by content fingerprint) and driven by
-  either the ``reference`` interpreter loop or the ``fast`` handler-table
-  backend, with byte-identical results.
+* :mod:`repro.machine.backends` / :mod:`repro.machine.jit` — the
+  execution backends: the ``reference`` interpreter loop (the oracle)
+  and the ``jit`` engine, which lowers hot blocks lazily to compiled
+  Python functions (:mod:`repro.machine.blocks`) and runs cold spans on
+  the reference loop, with byte-identical results.
 * :mod:`repro.machine.process` — the process image with ASLR over text,
   data, heap and stack regions.
 * :mod:`repro.machine.loader` — maps a linked binary into a process.

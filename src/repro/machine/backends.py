@@ -2,36 +2,29 @@
 
 Architectural state lives in :class:`~repro.machine.state.MachineState`;
 a backend owns the interpretation loop and takes a *(program, state)*
-pair.  ``prepare(state)`` resolves the decoded program for that state's
-process (cached per process, so N states over one binary decode once);
+pair.  ``prepare(state)`` resolves the program form the backend drives
+for that state's process (cached per process where it costs anything);
 ``execute(program, state, res)`` runs the state from ``state.rip`` to
 completion; ``step(program, state, res, max_steps)`` advances at most
 ``max_steps`` instructions and returns whether the program has halted —
 the primitive under the debugger's single-stepping and the lockstep
 MVEE's batched N-variant scheduling.
 
-Three implementations ship:
+Two implementations ship, one oracle and one engine:
 
 * :class:`ReferenceBackend` (``"reference"``) — the original monolithic
   interpreter loop, moved here verbatim.  Its program is the process's
   instruction index; it re-classifies operands and re-checks fetch
-  permissions on every instruction and is the semantic baseline every
-  other backend is measured against.
-* :class:`FastBackend` (``"fast"``) — drives the pre-resolved micro-op
-  stream produced by :mod:`repro.machine.uops`.  Operand dispatch, memory
-  address recipes, instruction costs, and i-cache line spans were all
-  resolved at decode/bind time, so the hot loop is a handler call plus
-  cost bookkeeping.  Fetch-permission checks are memoized per micro-op
-  against :attr:`Memory.perm_epoch`, which every mapping/protection
-  change bumps.
-* :class:`~repro.machine.jit.JitBackend` (``"jit"``) — the final stage
-  of the progressive-lowering pipeline (tier 0: micro-ops; tier 1:
-  basic-block CFG with superinstruction fusion,
+  permissions on every instruction and is the semantic baseline the
+  engine is measured against.
+* :class:`~repro.machine.jit.JitBackend` (``"jit"``) — the
+  progressive-lowering engine (tier 0: this module's reference loop
+  for cold spans; tier 1: block slices with superinstruction fusion,
   :mod:`repro.machine.blocks`; tier 2: one ``exec``-compiled Python
   function per block, :mod:`repro.machine.jit`).  Budget checks, cost
   folds, and i-cache accounting collapse into block prologs; anything
   the compiled form cannot express bit-identically deopts to the
-  ``fast`` interpreter mid-run.
+  reference interpreter mid-run.
 
 All backends must fill byte-identical :class:`ExecutionResult`\\ s —
 same counters, same faults at the same ``rip``, same shadow-stack and
@@ -65,19 +58,11 @@ from repro.errors import (
 from repro.machine.costs import CYCLE_UNIT
 from repro.machine.cpu import UNTAGGED_TAG
 from repro.machine.isa import Imm, Mem, Op, Reg, VECTOR_WORDS, WORD
-from repro.machine.uops import (
-    HALT,
-    MicroOp,
-    SYNC,
-    clone_bound_program,
-    get_bound_program,
-)
 from repro.numeric import MASK64, to_signed, truncated_div
 
 __all__ = [
     "ExecutionBackend",
     "ReferenceBackend",
-    "FastBackend",
     "BACKENDS",
     "DEFAULT_BACKEND",
     "available_backends",
@@ -386,203 +371,10 @@ class ReferenceBackend:
             res.output = cpu.process.output
 
 
-def _missing(cpu, memory, address):
-    """Fault path for control flow reaching a non-instruction address.
-
-    Mirrors the reference loop exactly: ``rip`` rests at the invalid
-    address, a fetch-permission fault (guard page, unmapped, execute-only
-    violation) takes precedence over :class:`InvalidInstruction`.
-    """
-    cpu.rip = address
-    memory.fetch_check(address)
-    raise InvalidInstruction(f"no instruction at {address:#x}")
-
-
-class FastBackend:
-    """Micro-op driver: dispatch over pre-resolved handlers.
-
-    Per instruction the loop does: a memoized fetch-permission check, the
-    budget tick, the i-cache charge over precomputed line spans, the cost
-    accounting (in exact integer cycle units), and one handler call.  Control flow follows pre-wired ``next_u``/``target`` links, so
-    the common case never consults the instruction index.
-    """
-
-    name = "fast"
-
-    def prepare(self, state):
-        """Bind (or fetch the cached) micro-op program for the state's
-        process under its cost model.  Decode is cached per
-        (module fingerprint, config digest), binding per (process, cost
-        model) — so N states over one loaded binary share one program."""
-        return get_bound_program(state.process, state.costs)
-
-    def clone_program(self, program, state):
-        """Rebind a prepared program to ``state``'s process by cloning.
-
-        The caller guarantees the process shares the source's binary and
-        layout (see ``LockstepGroup``); the clone swaps only the memory
-        reference and per-run fetch state, skipping the full bind.  The
-        result is cached on the process like a ``prepare`` result."""
-        clone = clone_bound_program(program, state.process.memory)
-        state.process.uop_programs[id(state.costs)] = (state.costs, clone)
-        return clone
-
-    def execute(self, program, state, res):
-        self._drive(program, state, res, None)
-        res.exit_code = state._exit_code
-        state.process.exit_code = state._exit_code
-        return res
-
-    def step(self, program, state, res, max_steps: int) -> bool:
-        if state._halted:
-            return True
-        self._drive(program, state, res, max_steps)
-        if state._halted:
-            res.exit_code = state._exit_code
-            state.process.exit_code = state._exit_code
-        return state._halted
-
-    def _drive(self, program, cpu, res, max_steps: Optional[int]):
-        process = cpu.process
-        memory = process.memory
-        index_get = program.index.get
-
-        icache = cpu.icache
-        sets = icache._sets
-        num_sets = icache.num_sets
-        ways = icache.ways
-        miss_penalty = cpu.costs.icache_miss_penalty_units
-        mem_extra = cpu.costs.mem_operand_extra_units
-        budget = cpu.instruction_budget - res.instructions
-        trace = cpu.trace_fn
-        count_ops = cpu.count_opcodes
-        opcode_counts = res.opcode_counts
-        attribute = cpu.attribute_tags
-        tag_units = res.tag_cycle_units
-        tag_counts = res.tag_counts
-
-        # Handler-visible counters live on the state; driver-local ones are
-        # flushed in the ``finally`` exactly like the reference loop.
-        cpu._bk_shadow = cpu.shadow_stack if cpu.shadow_stack_enabled else None
-        cpu._bk_calls = 0
-        cpu._bk_rets = 0
-        cpu._bk_branches = 0
-        cpu._bk_taken = 0
-        cpu._bk_traps = 0
-
-        remaining = max_steps
-        executed = 0
-        cycles = 0
-        mem_ops = 0
-        hits = 0
-        cache_misses = 0
-        ep = memory.perm_epoch
-
-        u = index_get(cpu.rip)
-        try:
-            if u is None:
-                if not cpu._halted:
-                    _missing(cpu, memory, cpu.rip)
-            else:
-                while True:
-                    if remaining is not None:
-                        if remaining == 0:
-                            cpu.rip = u.rip
-                            break
-                        remaining -= 1
-                    try:
-                        if u.fetch_epoch != ep:
-                            memory.fetch_check(u.rip, u.size)
-                            u.fetch_epoch = ep
-
-                        executed += 1
-                        if executed > budget:
-                            raise ExecutionLimitExceeded(
-                                f"budget of {cpu.instruction_budget} instructions exceeded"
-                            )
-
-                        if trace is not None:
-                            cpu.rip = u.rip
-                            trace(cpu, u.rip, u.instr)
-                            ep = memory.perm_epoch
-
-                        cost = u.base_cost
-                        misses = 0
-                        for line in u.lines:
-                            entries = sets[line % num_sets]
-                            if line in entries:
-                                entries.move_to_end(line)
-                                hits += 1
-                            else:
-                                cache_misses += 1
-                                misses += 1
-                                entries[line] = True
-                                if len(entries) > ways:
-                                    entries.popitem(last=False)
-                        if misses:
-                            cost += misses * miss_penalty
-                        if u.has_mem:
-                            cost += mem_extra
-                            mem_ops += 1
-                        cycles += cost
-                        if attribute:
-                            tag = u.tag if u.tag is not None else UNTAGGED_TAG
-                            tag_units[tag] = tag_units.get(tag, 0) + cost
-                            tag_counts[tag] = tag_counts.get(tag, 0) + 1
-                        if count_ops:
-                            op = u.op
-                            opcode_counts[op] = opcode_counts.get(op, 0) + 1
-
-                        nxt = u.handler(cpu, u)
-                    except BaseException:
-                        cpu.rip = u.rip
-                        raise
-
-                    if nxt is None:
-                        nu = u.next_u
-                        if nu is None:
-                            _missing(cpu, memory, u.next_rip)
-                        u = nu
-                    elif nxt.__class__ is MicroOp:
-                        u = nxt
-                    elif nxt.__class__ is int:
-                        nu = index_get(nxt)
-                        if nu is None:
-                            _missing(cpu, memory, nxt)
-                        u = nu
-                    elif nxt is HALT:
-                        cpu.rip = u.next_rip
-                        break
-                    else:  # SYNC: a runtime service may have changed mappings
-                        ep = memory.perm_epoch
-                        nu = u.next_u
-                        if nu is None:
-                            _missing(cpu, memory, u.next_rip)
-                        u = nu
-        finally:
-            res.instructions += executed
-            res.cycle_units += cycles
-            res.cycles = res.cycle_units / CYCLE_UNIT
-            if attribute and tag_units:
-                res.tag_cycles = {tag: units / CYCLE_UNIT for tag, units in tag_units.items()}
-            res.calls += cpu._bk_calls
-            res.rets += cpu._bk_rets
-            res.branches += cpu._bk_branches
-            res.branches_taken += cpu._bk_taken
-            res.mem_ops += mem_ops
-            res.traps += cpu._bk_traps
-            icache.hits += hits
-            icache.misses += cache_misses
-            res.icache_hits = icache.hits
-            res.icache_misses = icache.misses
-            res.output = process.output
-
-
 DEFAULT_BACKEND = "reference"
 
 BACKENDS: Dict[str, ExecutionBackend] = {
     "reference": ReferenceBackend(),
-    "fast": FastBackend(),
 }
 
 
@@ -605,8 +397,8 @@ def register_backend(backend: ExecutionBackend) -> None:
     BACKENDS[backend.name] = backend
 
 
-# The tier-2 block-compiling backend builds on FastBackend, so it lives in
-# its own module and registers here after the registry exists.
+# The tier-2 block-compiling backend builds on ReferenceBackend, so it
+# lives in its own module and registers here after the registry exists.
 from repro.machine.jit import JitBackend as _JitBackend  # noqa: E402
 
 register_backend(_JitBackend())

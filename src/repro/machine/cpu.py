@@ -8,13 +8,12 @@ interpretation lives in pluggable execution backends
 
 * ``reference`` — the original monolithic interpreter loop, preserved
   verbatim as the semantic baseline;
-* ``fast`` — per-opcode handler tables over a pre-resolved micro-op
-  stream (:mod:`repro.machine.uops`), decoded once per binary.
+* ``jit`` — lazy block compilation to Python functions
+  (:mod:`repro.machine.jit`), with cold spans on the reference loop.
 
 :class:`CPU` is the thin façade that binds one state to one decoded
 program under one backend: it *is* a ``MachineState`` (so every trace
-hook, runtime service, and micro-op handler keeps receiving the familiar
-object), plus a backend name and the classic :meth:`CPU.run` /
+hook and runtime service keeps receiving the familiar object), plus a backend name and the classic :meth:`CPU.run` /
 :meth:`CPU.step` entry points.  Callers that drive several states with
 one program — the lockstep MVEE, the debugger — talk to the backend
 directly instead.
@@ -60,7 +59,7 @@ UNTAGGED_TAG = "app"
 class ExecutionResult:
     """Counters and outputs from one program run.
 
-    Every field is backend-invariant: the ``reference`` and ``fast``
+    Every field is backend-invariant: the ``reference`` and ``jit``
     backends fill identical values (including ``opcode_counts`` and
     ``tag_cycles``) for the same program and seed.
     """

@@ -27,7 +27,7 @@ one-instruction step slice can never satisfy a compiled block prolog's
 folded instruction allowance, so stepped segments run interpreter-exact
 and a later ``cont`` re-enters compiled code at the next block head —
 with identical counters either way (``tests/test_jit.py`` holds a
-breakpointed, stepped jit session byte-identical to ``fast``, including
+breakpointed, stepped jit session byte-identical to ``reference``, including
 through BTRA-displaced returns).
 """
 
@@ -53,8 +53,6 @@ class Debugger:
             raise ValueError("a debugger is already attached to this CPU")
         target.debugger_attached = True
         self.state = target
-        #: Back-compat alias: existing tooling reads ``debugger.cpu``.
-        self.cpu = target
         name = backend if backend is not None else getattr(target, "backend_name", None)
         self._backend = get_backend(name if name is not None else DEFAULT_BACKEND)
         self._program = self._backend.prepare(target)

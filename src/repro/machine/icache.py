@@ -19,8 +19,9 @@ def line_span(address: int, size: int, line_size: int) -> range:
     """Cache lines covering ``[address, address + max(size, 1))``.
 
     The single source of truth for line occupancy: the cache model, the
-    micro-op binder, and the profiler's shadow replay all use it, so a
-    fetch touches the same lines no matter which layer computes them.
+    jit's block line plans, and the profiler's shadow replay all use it,
+    so a fetch touches the same lines no matter which layer computes
+    them.
     """
     first = address // line_size
     last = (address + max(size, 1) - 1) // line_size

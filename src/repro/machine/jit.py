@@ -25,8 +25,8 @@ bitwise complement ``~addr`` as a *deopt escape*.  The driver trampolines
 between compiled functions through one dictionary lookup.
 
 **The deopt contract.**  Anything compiled code cannot reproduce
-*bit-identically* re-enters an interpreter mid-run with all partial
-counters flushed first: cold code (fewer than two entries), slices
+*bit-identically* re-enters the reference interpreter mid-run with all
+partial counters flushed first: cold code (fewer than two entries), slices
 containing generic-only operand forms (negative-cached, interpreted
 forever), stale fetch-permission epochs (prologs compare the per-block
 validated epoch against the drive's mirror of
@@ -37,11 +37,10 @@ constant from a baked table, then re-raise with ``rip`` at the faulting
 instruction).  Interpreter segments run block-granular spans on the
 *reference* loop directly into the caller's result — exact, because all
 cycle accounting is integer units.  A drive that starts with a trace
-hook installed is delegated to ``fast`` wholesale, matching its
-hoisted-hook semantics.  The differential suite holds ``jit`` to
-byte-identical :class:`ExecutionResult`\\ s, faults, ``rip``, counters,
-folded profiles, and lockstep divergence points against both other
-backends.
+hook installed runs on the reference loop wholesale.  The differential
+suite holds ``jit`` to byte-identical :class:`ExecutionResult`\\ s,
+faults, ``rip``, counters, folded profiles, and lockstep divergence
+points against ``reference``.
 
 Compiled code objects are cached per (module fingerprint, config digest,
 address-space layout, cost-model signature, accounting flags): lockstep
@@ -62,12 +61,17 @@ from repro.errors import (
     ShadowStackViolation,
     StackMisaligned,
 )
-from repro.machine.blocks import fuse_slice, slice_block
+from repro.machine.blocks import (
+    TERMINATOR_OPS,
+    _DIRECT_BRANCH_OPS,
+    _kind,
+    fuse_slice,
+    slice_block,
+)
 from repro.machine.costs import CYCLE_UNIT, costs_signature, fold_cost
 from repro.machine.cpu import UNTAGGED_TAG
 from repro.machine.icache import block_line_plan, line_span
 from repro.machine.isa import Imm, Mem, Op, Reg
-from repro.machine.uops import TERMINATOR_OPS, _DIRECT_BRANCH_OPS, _kind, get_bound_program
 from repro.numeric import MASK64, to_signed, truncated_div
 
 __all__ = [
@@ -184,8 +188,7 @@ _CMP_FORMS = {("R", "R"), ("R", "I"), ("R", "MB"), ("MB", "R"), ("MB", "I")}
 
 class _JU:
     """One instruction's lowering record: operand kinds pre-classified,
-    immediates masked, memory recipes extracted — the same extraction
-    rules as the tier-0 binder (:func:`repro.machine.uops._bind`)."""
+    immediates masked, memory recipes extracted."""
 
     __slots__ = (
         "rip", "next_rip", "size", "op", "tag", "ka", "kb",
@@ -1058,7 +1061,7 @@ class JitProgram:
 
     __slots__ = (
         "process", "costs", "instructions", "variants", "cache_key",
-        "_fastprog", "_monotone",
+        "_monotone",
     )
 
     def __init__(self, process, costs):
@@ -1066,7 +1069,6 @@ class JitProgram:
         self.costs = costs
         self.instructions = process.instructions
         self.variants: Dict[Tuple[bool, bool], _Variant] = {}
-        self._fastprog = None
         self._monotone: Optional[bool] = None
         binary = process.binary
         fingerprint = getattr(binary, "module_fingerprint", None)
@@ -1099,14 +1101,6 @@ class JitProgram:
             linked = _Variant(self, key)
             self.variants[key] = linked
         return linked
-
-    def fast_program(self):
-        """The tier-0 bound program, for drives delegated to ``fast``
-        (trace hooks installed).  Bound lazily and cached — observability
-        runs pay the bind cost, plain runs never do."""
-        if self._fastprog is None:
-            self._fastprog = get_bound_program(self.process, self.costs)
-        return self._fastprog
 
     def stats(self) -> Dict[str, int]:
         """Lowering statistics across this program's linked variants."""
@@ -1147,9 +1141,8 @@ class JitBackend:
     name = "jit"
 
     def __init__(self):
-        from repro.machine.backends import FastBackend, ReferenceBackend
+        from repro.machine.backends import ReferenceBackend
 
-        self._fast = FastBackend()
         self._reference = ReferenceBackend()
 
     # -- program management -------------------------------------------------
@@ -1247,10 +1240,9 @@ class JitBackend:
 
     def _drive(self, program, cpu, res, max_steps: Optional[int]):
         if cpu.trace_fn is not None:
-            # Trace hooks observe every instruction; the interpreter's
-            # hoisted-hook semantics are the contract (profilers ride it),
-            # so the whole drive runs on the fast interpreter.
-            self._fast._drive(program.fast_program(), cpu, res, max_steps)
+            # Trace hooks observe every instruction, so the whole drive
+            # runs on the reference interpreter (profilers ride it).
+            self._reference._drive(program.instructions, cpu, res, max_steps)
             return
 
         process = cpu.process

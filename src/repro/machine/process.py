@@ -124,8 +124,8 @@ class Process:
         self.exit_code: Optional[int] = None
         self._services: Dict[str, RuntimeService] = {}
         self._peak_resident = 0
-        # Bound micro-op programs, one per cost model, filled lazily by
-        # repro.machine.uops.get_bound_program for the fast backend.
+        # Prepared jit programs, one per cost model, filled lazily by
+        # repro.machine.jit.JitBackend.prepare.
         self.uop_programs: Dict[int, tuple] = {}
         # Set by the loader:
         self.binary = None  # the Binary this process was loaded from
@@ -149,7 +149,7 @@ class Process:
         The decoded instruction index and the symbol table are immutable
         after loading, so they are shared; everything a run mutates
         (memory pages, allocator state, the output stream, the service
-        table, bound micro-op programs) is copied or reset.  Cloning
+        table, prepared jit programs) is copied or reset.  Cloning
         skips section mapping, instruction rebasing and the runtime
         constructors, and copies only the pages the image touched.  On
         the attack victim (median of 200 on an Intel Xeon host) a clone

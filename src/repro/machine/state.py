@@ -9,7 +9,7 @@ parameterize interpretation (alignment checking, instruction budget, tag
 attribution, the trace hook).
 
 Execution itself lives elsewhere: a *program* (the process's decoded
-instruction index, or a bound micro-op program) plus a backend
+instruction index, or a prepared jit program) plus a backend
 (:mod:`repro.machine.backends`) drive a state forward.  One decoded
 program can therefore drive any number of states — the mechanism behind
 :class:`repro.defenses.lockstep.LockstepGroup`'s N-variant execution —
@@ -18,7 +18,7 @@ same state a backend later runs to completion).
 
 ``CPU`` (:mod:`repro.machine.cpu`) subclasses this with a backend binding
 and the classic ``run()`` entry point, so every existing trace hook,
-runtime service, and micro-op handler keeps receiving the object it
+runtime service, and compiled jit block keeps receiving the object it
 always has: the state *is* the ``cpu`` argument of those callbacks.
 
 Snapshots
@@ -57,7 +57,7 @@ class MachineState:
 
     Mutable execution state lives here; interpretation lives in the
     execution backends.  All attribute names are part of the handler
-    calling convention (micro-op handlers, trace hooks, and runtime
+    calling convention (compiled jit blocks, trace hooks, and runtime
     services receive this object), so they are stable API.
     """
 

@@ -101,7 +101,7 @@ class BenchReport:
     jobs: int
     cells: List[BenchCell] = field(default_factory=list)
     engine: Dict[str, object] = field(default_factory=dict)
-    #: N-variant lockstep leg (``--lockstep N``): amortized-decode cost of
+    #: N-variant lockstep leg (``--lockstep N``): amortized-prepare cost of
     #: running N diversified-ASLR variants vs one (empty when not run).
     lockstep: Dict[str, object] = field(default_factory=dict)
     #: Progressive-lowering statistics for the run (``jit`` backend):
@@ -197,7 +197,7 @@ def validate(data: Dict[str, object]) -> List[str]:
 def run_lockstep_bench(
     *,
     variants: int = 4,
-    backend: str = "fast",
+    backend: str = "jit",
     machine: str = "epyc-rome",
     requests: int = 2,
     sync_every: int = 4096,
@@ -207,26 +207,26 @@ def run_lockstep_bench(
     """Measure the N-variant lockstep leg on the webserver workload.
 
     Two measurements, each paying its own fixed costs (fresh build seed
-    per repetition, so neither leg hits the other's compile/decode
+    per repetition, so neither leg hits the other's compile or code
     caches):
 
-    * **single** — compile + load + decode + bind + run one variant,
-      start to finish;
-    * **lockstep** — compile + decode + bind + load *once*, then fork N
+    * **single** — compile + load + prepare + run one variant, start to
+      finish;
+    * **lockstep** — compile + load + prepare *once*, then fork N
       replicas under one layout (the corruption-detection deployment of
       :class:`~repro.defenses.lockstep.LockstepGroup`, with the per-sync
       register/rip cross-check armed) and run them in one batched
       scheduling loop.  Replicas 2..N are ``Process.clone()`` forks and
-      receive a clone of the leader's bound program
-      (``Backend.clone_program``), so the fixed
-      compile + decode + bind + load pipeline runs exactly once.
+      receive a clone of the leader's prepared program
+      (``Backend.clone_program``), so the fixed compile + load + prepare
+      pipeline runs exactly once.
 
     The headline number is ``cost_ratio`` (lockstep wall / single wall),
     taken over the best of ``repeats`` repetitions per leg (host wall
     time is environmental; the minimum is the least-noisy estimator, and
     the collector is paused while a leg is on the clock).  Both legs use
     the same ``heap_size``, so the comparison is apples-to-apples.
-    Because one decode+bind serves all N states, N variants cost far
+    Because one prepared program serves all N states, N variants cost far
     less than N independent pipelines — the scaling story the
     program/state split buys.  Simulated work (``cycles``,
     ``instructions``) is also recorded per leg; it scales ~linearly in N
@@ -260,7 +260,7 @@ def run_lockstep_bench(
     gc_was_enabled = gc.isenabled()
     try:
         for rep in range(max(repeats, 1)):
-            # -- single-variant leg (fresh compile + decode + load + run) --
+            # -- single-variant leg (fresh compile + load + prepare + run) --
             gc.collect()
             gc.disable()
             start = time.perf_counter()
@@ -275,7 +275,7 @@ def run_lockstep_bench(
             single_walls.append(time.perf_counter() - start)
             gc.enable()
 
-            # -- N-replica lockstep leg (one compile+decode+bind+load) -----
+            # -- N-replica lockstep leg (one compile+load+prepare) ---------
             gc.collect()
             gc.disable()
             start = time.perf_counter()

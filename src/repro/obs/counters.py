@@ -3,8 +3,8 @@
 :class:`PerfCounters` is the observability view over one
 :class:`~repro.machine.cpu.ExecutionResult`: every architectural event
 the simulated machine counts, in one flat, JSON-stable structure.  Every
-execution backend — the ``reference`` loop, the ``fast`` micro-op
-pipeline, and the block-compiling ``jit`` — fills the underlying
+execution backend — the ``reference`` loop and the block-compiling
+``jit`` — fills the underlying
 counters **byte-identically**: same integers, same float ``cycles`` (one
 exact division of the shared integer cycle units), same per-tag buckets.
 A ``PerfCounters`` is therefore backend-invariant by construction and

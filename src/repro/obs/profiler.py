@@ -56,7 +56,7 @@ class CycleProfiler:
 
     Usage::
 
-        cpu = CPU(process, costs, backend="fast")
+        cpu = CPU(process, costs, backend="jit")
         profiler = CycleProfiler(cpu)
         cpu.run()
         print(profiler.report())

@@ -171,7 +171,7 @@ class FleetChaosReport:
 
 def run_fleet_chaos(
     *,
-    backend: str = "fast",
+    backend: str = "jit",
     seed: int = 0,
     workers: int = 4,
     rps: float = 300.0,

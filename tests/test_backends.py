@@ -1,17 +1,12 @@
 """Differential tests for the execution backends.
 
-The fetch/decode/execute split (DESIGN.md) requires the ``fast``
-micro-op backend to be observationally indistinguishable from the
-``reference`` interpreter loop: identical :class:`ExecutionResult`
-counters (cycles, opcode counts, tag attribution, i-cache hits/misses),
-identical faults (type, message, and faulting ``cpu.rip``) — even for
-runs that crash mid-program — plus identical trace-hook and debugger
-behaviour.  These tests drive both backends over the same programs and
-compare everything.
-
-The decode stage itself is also covered: a binary is decoded into
-micro-ops exactly once per content fingerprint, however many times it is
-loaded.
+The fetch/decode/execute split (DESIGN.md) requires the ``jit`` engine
+to be observationally indistinguishable from the ``reference``
+interpreter loop: identical :class:`ExecutionResult` counters (cycles,
+opcode counts, tag attribution, i-cache hits/misses), identical faults
+(type, message, and faulting ``cpu.rip``) — even for runs that crash
+mid-program — plus identical trace-hook and debugger behaviour.  These
+tests drive both backends over the same programs and compare everything.
 """
 
 import dataclasses
@@ -37,7 +32,6 @@ from repro.machine.debugger import Debugger
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.loader import load_binary
 from repro.machine.memory import Perm
-from repro.machine.uops import DECODE_STATS, clear_decode_cache, get_bound_program
 from repro.machine.process import AddressSpaceLayout, Process
 
 from tests.conftest import FULL_CONFIGS
@@ -280,8 +274,8 @@ def test_guard_page_dereference_identical():
 
 
 def test_runtime_service_changing_permissions_identical():
-    """A CALLRT service may remap pages; the fast backend must revalidate
-    its memoized fetch checks afterwards (the SYNC/perm-epoch path)."""
+    """A CALLRT service may remap pages; every backend must fetch-check
+    against the new permissions afterwards (the perm-epoch path)."""
 
     def make():
         process, _ = assemble(
@@ -340,7 +334,7 @@ def test_perf_counters_and_profiles_identical(seed, btra_mode):
         }
     for backend in BACKENDS:
         assert observed[backend] == observed["reference"], backend
-    counters = observed["fast"]["counters"]
+    counters = observed["jit"]["counters"]
     assert '"schema": "repro-counters/v1"' in counters
 
     # Lean leg: no profiler, no attribution — the jit's hot configuration,
@@ -387,9 +381,9 @@ def test_trace_fn_sees_identical_stream():
         )
         cpu.run()
         streams[backend] = seen
-    assert streams["reference"] == streams["fast"]
+    assert streams["reference"] == streams["jit"]
     # The hook observes cpu.rip parked on the traced instruction.
-    assert all(rip == cur for rip, _, cur in streams["fast"])
+    assert all(rip == cur for rip, _, cur in streams["jit"])
 
 
 def test_debugger_breakpoints_work_on_fast_backend():
@@ -409,61 +403,7 @@ def test_debugger_breakpoints_work_on_fast_backend():
         at_break = (cpu.rip, cpu.regs[Reg.RAX])
         assert debugger.cont()  # runs to completion
         states[backend] = (at_break, debugger.result.exit_code, list(process.output))
-    assert states["reference"] == states["fast"]
-
-
-# ---------------------------------------------------------------------------
-# The decode stage: one decode per binary fingerprint, one bind per
-# (process, cost model).
-# ---------------------------------------------------------------------------
-
-
-def test_binary_decoded_once_per_fingerprint(simple_module):
-    config = R2CConfig.full(seed=9)
-    first = compile_module(simple_module, config)
-    second = compile_module(simple_module, config)
-    assert first is not second
-    assert first.module_fingerprint == second.module_fingerprint
-
-    clear_decode_cache()
-    for binary in (first, second, first):
-        process = load_binary(binary, seed=1)
-        process.register_service("attack_hook", lambda proc, cpu: 0)
-        CPU(process, get_costs("epyc-rome"), backend="fast").run()
-    assert DECODE_STATS["decodes"] == 1
-    assert DECODE_STATS["cache_hits"] == 2
-
-
-def test_distinct_configs_decode_separately(simple_module):
-    clear_decode_cache()
-    for seed in (1, 2):
-        binary = compile_module(simple_module, R2CConfig.full(seed=seed))
-        process = load_binary(binary, seed=1)
-        process.register_service("attack_hook", lambda proc, cpu: 0)
-        CPU(process, get_costs("epyc-rome"), backend="fast").run()
-    assert DECODE_STATS["decodes"] == 2
-
-
-def test_bound_program_cached_per_process_and_costs():
-    process, _ = assemble([I(Op.NOP), I(Op.EXIT, Imm(0))])
-    costs = get_costs("epyc-rome")
-    program = get_bound_program(process, costs)
-    assert get_bound_program(process, costs) is program
-    other = get_bound_program(process, get_costs("xeon"))
-    assert other is not program
-    assert program.entry_count == 2
-
-
-def test_rerunning_same_process_reuses_bound_program():
-    process, _ = assemble(
-        [I(Op.MOV, Reg.RAX, Imm(3)), I(Op.OUT, Reg.RAX), I(Op.EXIT, Imm(0))]
-    )
-    costs = get_costs("epyc-rome")
-    cpu = CPU(process, costs, backend="fast")
-    cpu.run()
-    assert len(process.uop_programs) == 1
-    CPU(process, costs, backend="fast").run()
-    assert len(process.uop_programs) == 1
+    assert states["reference"] == states["jit"]
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +412,8 @@ def test_rerunning_same_process_reuses_bound_program():
 
 
 def test_backend_registry():
-    assert set(BACKENDS) <= set(available_backends())
-    assert get_backend("fast").name == "fast"
+    assert available_backends() == ["jit", "reference"]
+    assert get_backend("jit").name == "jit"
     with pytest.raises(MachineError):
         get_backend("warp-drive")
 

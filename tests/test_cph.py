@@ -173,4 +173,4 @@ def test_debugger_watchpoint_sees_global_write():
 def test_debugger_rejects_busy_cpu():
     debugger, _ = make_debug_session()
     with pytest.raises(ValueError):
-        Debugger(debugger.cpu)
+        Debugger(debugger.state)

@@ -47,8 +47,8 @@ def test_single_step_parity_across_backends():
         while not debugger.step():
             seen.append((cpu.rip, cpu.regs[Reg.RAX]))
         trajectories[backend] = (seen, debugger.result.exit_code, list(process.output))
-    assert trajectories["reference"] == trajectories["fast"]
-    seen, exit_code, output = trajectories["fast"]
+    assert trajectories["reference"] == trajectories["jit"]
+    seen, exit_code, output = trajectories["jit"]
     assert len(seen) == 4  # stopped before each of the 4 remaining instrs
     assert exit_code == 0 and output == [12]
 
@@ -112,7 +112,7 @@ def test_symbol_breakpoint_on_compiled_module(simple_module):
         assert debugger.cont()
         # Relative position only: the load seed randomizes absolute bases.
         stops[backend] = (address - process.text_base, debugger.result.exit_code)
-    assert stops["reference"] == stops["fast"]
+    assert stops["reference"] == stops["jit"]
 
 
 def test_watchpoint_records_old_and_new_values():

@@ -2,7 +2,7 @@
 
 Two seeded generators — one emitting machine-level instruction streams,
 one emitting IR modules compiled under random R2C configs — drive every
-registered backend (``reference``, ``fast``, ``jit``)
+registered backend (``reference``, ``jit``)
 over the same program and assert the observations are byte-identical:
 the full :class:`ExecutionResult` (instructions, cycles, mem ops,
 i-cache hits/misses, branch/call/ret/trap counts, tag attribution,

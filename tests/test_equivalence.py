@@ -151,7 +151,7 @@ def test_generator_is_deterministic():
     config_seed=st.integers(min_value=0, max_value=10**6),
 )
 def test_backends_agree_on_random_programs(program_seed, config_seed):
-    """The fast micro-op backend is observationally identical to the
+    """The jit engine is observationally identical to the
     reference loop — full ExecutionResult, not just exit/output — for any
     generated program under baseline and fully diversified builds."""
     import dataclasses
@@ -159,7 +159,7 @@ def test_backends_agree_on_random_programs(program_seed, config_seed):
     module = generate_random_module(program_seed)
     for config in (R2CConfig.baseline(), R2CConfig.full(seed=config_seed)):
         results = {}
-        for backend in ("reference", "fast"):
+        for backend in ("reference", "jit"):
             result, _ = run_compiled(
                 module,
                 config,
@@ -168,4 +168,4 @@ def test_backends_agree_on_random_programs(program_seed, config_seed):
                 attribute_tags=True,
             )
             results[backend] = dataclasses.asdict(result)
-        assert results["reference"] == results["fast"]
+        assert results["reference"] == results["jit"]

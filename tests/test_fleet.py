@@ -160,7 +160,7 @@ def test_open_loop_arrivals_seeded():
 def small_fleet(module, workers=2, **kwargs):
     cache = CompileCache()
     pool = [
-        FleetWorker(index, module, R2CConfig.full(seed=1_000), cache, backend="fast")
+        FleetWorker(index, module, R2CConfig.full(seed=1_000), cache, backend="jit")
         for index in range(workers)
     ]
     for worker in pool:
@@ -259,22 +259,22 @@ def test_rolling_rerandomization_zero_drops(module):
 
 def test_run_fleet_deterministic_across_backends_and_runs(tmp_path):
     kwargs = dict(workers=2, rps=150.0, duration_seconds=0.5, seed=9, chaos=True)
-    fast = run_fleet(backend="fast", **kwargs)
-    again = run_fleet(backend="fast", cache_dir=str(tmp_path), **kwargs)
+    jit = run_fleet(backend="jit", **kwargs)
+    again = run_fleet(backend="jit", cache_dir=str(tmp_path), **kwargs)
     reference = run_fleet(backend="reference", **kwargs)
-    assert serving_metrics(fast) == serving_metrics(again)
-    assert serving_metrics(fast) == serving_metrics(reference)
+    assert serving_metrics(jit) == serving_metrics(again)
+    assert serving_metrics(jit) == serving_metrics(reference)
     # Different seeds genuinely differ.
-    other = run_fleet(backend="fast", workers=2, rps=150.0,
+    other = run_fleet(backend="jit", workers=2, rps=150.0,
                       duration_seconds=0.5, seed=10, chaos=True)
-    assert serving_metrics(fast) != serving_metrics(other)
+    assert serving_metrics(jit) != serving_metrics(other)
 
 
 def test_run_fleet_chaos_zero_lost():
     spec = ChaosSpec(kill_fraction=0.5, hang_fraction=0.5, attack_fraction=0.05,
                      compile_fault_every=2, kill_waves=3, hang_waves=2)
     report = run_fleet(workers=3, rps=200.0, duration_seconds=1.0,
-                       backend="fast", seed=4, chaos_spec=spec)
+                       backend="jit", seed=4, chaos_spec=spec)
     assert report.zero_lost
     assert report.kills + report.hangs > 0
     assert report.outcomes["fault"] > 0  # attack probes became faults
@@ -285,7 +285,7 @@ def test_run_fleet_chaos_zero_lost():
 
 def test_run_fleet_artifact_validates_and_roundtrips():
     report = run_fleet(workers=2, rps=100.0, duration_seconds=0.5,
-                       backend="fast", seed=2)
+                       backend="jit", seed=2)
     bench = report.to_bench_report()
     problems = validate(__import__("json").loads(bench.to_json()))
     assert problems == []

@@ -1,17 +1,18 @@
 """Tests for the tier-2 jit backend and the progressive-lowering pipeline.
 
 The differential suite (:mod:`tests.test_backends`) already holds ``jit``
-to byte-identical results against ``reference`` and ``fast`` across
-seeds and BTRA modes — every backend in the registry participates.  This
-module covers what is specific to lowering: the block CFG recovery and
-fusion tiers, monotone i-cache detection, the compiled-code cache shared
-across loads of one image, and the deopt contract under a debugger —
-breakpoints and single-stepping mid-run must observe the exact same
-machine trajectory on ``jit`` as on ``fast``, including through
-BTRA-displaced returns.
+to byte-identical results against ``reference`` across seeds and BTRA
+modes — every backend in the registry participates.  This module covers
+what is specific to lowering: static block partitioning and fusion, the
+``disasm-blocks`` tier report, monotone i-cache detection, the
+compiled-code cache shared across loads of one image, and the deopt
+contract under a debugger — breakpoints and single-stepping mid-run must
+observe the exact same machine trajectory on ``jit`` as on
+``reference``, including through BTRA-displaced returns.
 """
 
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -19,18 +20,19 @@ import pytest
 from repro.core.compiler import compile_module
 from repro.core.config import R2CConfig
 from repro.errors import ExecutionLimitExceeded
-from repro.machine.blocks import recover_blocks
+from repro.machine.blocks import fuse_slice, slice_block, static_blocks
 from repro.machine.costs import get_costs
 from repro.machine.cpu import CPU
 from repro.machine.debugger import Debugger
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.jit import (
+    JitBackend,
+    JitProgram,
     _text_fits_icache,
     jit_stats_snapshot,
 )
 from repro.machine.loader import load_binary
 from repro.machine.memory import Perm
-from repro.machine.uops import get_bound_program
 from repro.toolchain.builder import IRBuilder
 
 from tests.test_backends import DATA, HEAP, assemble, run_one_backend
@@ -75,12 +77,12 @@ def loop_module():
 @pytest.mark.parametrize("btra_mode", ["avx", "push"])
 def test_debugger_breakpoint_and_steps_identical_on_jit(btra_mode):
     """Break inside a callee, single-step through its (BTRA-displaced)
-    return, continue to exit: ``jit`` == ``fast`` at every observation."""
+    return, continue to exit: ``jit`` == ``reference`` at every observation."""
     binary = compile_module(
         loop_module(), R2CConfig.full(seed=7, btra_mode=btra_mode)
     )
     observed = {}
-    for backend in ("fast", "jit"):
+    for backend in ("reference", "jit"):
         process = load_binary(binary, seed=1)
         cpu = CPU(process, get_costs("epyc-rome"), backend=backend)
         debugger = Debugger(cpu)
@@ -107,12 +109,12 @@ def test_debugger_breakpoint_and_steps_identical_on_jit(btra_mode):
             "output": list(process.output),
             "rip": cpu.rip,
         }
-    assert observed["jit"] == observed["fast"]
+    assert observed["jit"] == observed["reference"]
 
 
 def test_debugged_run_equals_unbroken_run_on_jit():
     """The accumulated result of a breakpointed jit session equals an
-    uninterrupted jit run (and the fast run) exactly."""
+    uninterrupted jit run (and the reference run) exactly."""
     binary = compile_module(loop_module(), R2CConfig.full(seed=8))
 
     def plain(backend):
@@ -129,7 +131,7 @@ def test_debugged_run_equals_unbroken_run_on_jit():
     debugged = dataclasses.asdict(debugger.result)
 
     assert debugged == plain("jit")
-    assert debugged == plain("fast")
+    assert debugged == plain("reference")
 
 
 def test_single_stepping_drives_the_deopt_path():
@@ -152,7 +154,7 @@ def test_single_stepping_drives_the_deopt_path():
 # Deopt contract on hot loops: a breakpoint landing inside a compiled
 # loop body, budget exhaustion mid-iteration, and a fetch-epoch bump
 # between back edges must all hand execution back to the interpreter
-# with the exact fast-backend stream.
+# with the exact reference stream.
 # ---------------------------------------------------------------------------
 
 
@@ -184,11 +186,11 @@ def test_breakpoint_inside_compiled_loop_trace():
     block executes at tier 2); phase 2 sets a breakpoint on an address
     *inside* the compiled loop body and continues — the block prolog
     must reject its allowance, deopt, and the stepped stream must equal
-    ``fast``'s."""
+    ``reference``'s."""
     spec, _head, body = hot_loop_spec()
     body_addr = build_spec(spec)[1][body]
     observed = {}
-    for backend in ("fast", "jit"):
+    for backend in ("reference", "jit"):
         process, addresses = build_spec(spec)
         cpu = CPU(process, get_costs("epyc-rome"), backend=backend)
         debugger = Debugger(cpu)
@@ -216,7 +218,7 @@ def test_breakpoint_inside_compiled_loop_trace():
         if backend == "jit":
             # The big slice really did compile the loop block.
             assert mid["blocks_compiled"] > before["blocks_compiled"]
-    assert observed["jit"] == observed["fast"]
+    assert observed["jit"] == observed["reference"]
     # The stop parked exactly on the mid-block breakpoint address.
     assert observed["jit"]["stream"][0][1] == body_addr
 
@@ -233,13 +235,12 @@ def test_budget_exhaustion_mid_trace_iteration():
         backend: run_one_backend(
             lambda: build_spec(spec)[0], backend, instruction_budget=budget
         )
-        for backend in ("reference", "fast", "jit")
+        for backend in ("reference", "jit")
     }
     after = jit_stats_snapshot()
     assert after["blocks_compiled"] > before["blocks_compiled"]
     assert after["deopts"] > before["deopts"]
     assert outcomes["jit"] == outcomes["reference"]
-    assert outcomes["fast"] == outcomes["reference"]
     assert outcomes["jit"]["error"][0] is ExecutionLimitExceeded
     assert outcomes["jit"]["result"]["instructions"] == budget + 1
 
@@ -284,14 +285,11 @@ def test_fetch_epoch_bump_between_back_edges():
         processes.append((process, addresses, bumped))
         return process
 
-    outcomes = {
-        backend: run_one_backend(make, backend) for backend in ("reference", "fast")
-    }
+    outcomes = {"reference": run_one_backend(make, "reference")}
     before = jit_stats_snapshot()
     outcomes["jit"] = run_one_backend(make, "jit")
     after = jit_stats_snapshot()
     assert outcomes["jit"] == outcomes["reference"]
-    assert outcomes["fast"] == outcomes["reference"]
     assert outcomes["jit"]["error"] is None
     process, addresses, bumped = processes[-1]
     assert len(set(bumped)) == 4
@@ -309,7 +307,7 @@ def test_fetch_epoch_bump_between_back_edges():
 
 
 # ---------------------------------------------------------------------------
-# Tier 1: CFG recovery, fusion, stats.
+# Tier 1: static blocks, fusion, and the disasm-blocks tier report.
 # ---------------------------------------------------------------------------
 
 
@@ -338,20 +336,63 @@ def test_block_recovery_boundaries_and_fusion():
         if new_addresses == addresses:
             break
         addresses = new_addresses
-    program = recover_blocks(get_bound_program(process, get_costs("epyc-rome")))
-    stats = program.stats()
-    assert stats["blocks"] == 3
-    heads = sorted(program.by_addr)
-    assert heads == [addresses[0], addresses[1], addresses[8]]
-    loop = program.by_addr[addresses[1]]
-    assert loop.tier == 2
-    kinds = {kind for kind, _, _ in loop.fused}
+    blocks = static_blocks(process.instructions)
+    assert list(blocks) == [addresses[0], addresses[1], addresses[8]]
+    loop = blocks[addresses[1]]
+    assert [addr for addr, _ in loop] == addresses[1:8]
+    kinds = {kind for kind, _, _ in fuse_slice(loop)}
     assert kinds == {"cmp+jcc", "push-run"}
-    assert ("taken", addresses[1]) in loop.successors()
-    assert stats["superinstructions_fused"] == 2
-    # Every in-block address maps to its residue through the terminator.
-    assert program.steps_to_end[addresses[1]] == len(loop)
-    assert program.steps_to_end[addresses[7]] == 1
+    # The displayed entry block is cut at the loop head, but the jit's
+    # slice from that head runs on through the back edge.
+    assert len(blocks[addresses[0]]) == 1
+    assert len(slice_block(process.instructions, addresses[0])) == 8
+
+
+def test_disasm_blocks_tiers_match_jit_lowering(capsys):
+    """``disasm-blocks`` reports a block at tier 2 exactly when the jit
+    compiles the slice at its head; TRAP, RET and NOP lower fine.  leela
+    has one block the jit cannot lower, so both verdicts are checked."""
+    from repro.__main__ import disasm_blocks_main
+    from repro.workloads.spec import build_spec_benchmark
+
+    assert disasm_blocks_main(["leela"]) == 0
+    header = re.compile(
+        r"^block \d+(?: <[^>]*>)?: \[(0x[0-9a-f]+), (0x[0-9a-f]+)\) "
+        r"\d+ uops, tier (\d)$"
+    )
+    reported = {}
+    blockers = set()
+    for line in capsys.readouterr().out.splitlines():
+        match = header.match(line)
+        if match:
+            reported[int(match.group(1), 16)] = (int(match.group(2), 16), int(match.group(3)))
+        elif line.startswith("  stays tier 1: no tier-2 lowering for "):
+            blockers.add(line.split()[7])
+    assert reported
+    assert blockers and not blockers & {"TRAP", "RET", "NOP"}
+
+    binary = compile_module(build_spec_benchmark("leela"), R2CConfig.full(seed=1))
+    process = load_binary(binary, seed=1)
+    program = JitProgram(process, get_costs("epyc-rome"))
+    variant = program.variant(False, False)
+    backend = JitBackend()
+    compiled = {
+        head for head in reported
+        if backend._compile_slice(program, variant, head) is not None
+    }
+    assert compiled == {head for head, (_, tier) in reported.items() if tier == 2}
+    assert 0 < len(compiled) < len(reported)
+
+    instructions = process.instructions
+    for op in (Op.TRAP, Op.RET, Op.NOP):
+        assert any(
+            tier == 2 and any(
+                instructions[addr].op is op
+                for addr, _ in slice_block(instructions, head)
+                if addr < end
+            )
+            for head, (end, tier) in reported.items()
+        ), op
 
 
 def test_monotone_icache_detection():

@@ -94,7 +94,7 @@ def test_divergence_report_is_backend_invariant():
             repr(report.expected),
             repr(report.observed),
         )
-    assert reports["reference"] == reports["fast"]
+    assert reports["reference"] == reports["jit"]
 
 
 def test_divergence_report_serializes():

@@ -265,7 +265,7 @@ def test_perf_counters_identical_across_backends():
     for backend in BACKENDS:
         result, _, _ = run_workload(backend)
         views[backend] = result.perf_counters()
-    assert views["reference"] == views["fast"]
+    assert views["reference"] == views["jit"]
     counters = views["reference"]
     assert counters.instructions > 0
     assert 0 < counters.branches_taken <= counters.branches
@@ -276,7 +276,7 @@ def test_perf_counters_identical_across_backends():
 
 
 def test_perf_counters_json_round_trip_drops_unknown_keys():
-    result, _, _ = run_workload("fast")
+    result, _, _ = run_workload("jit")
     counters = result.perf_counters()
     data = json.loads(counters.to_json())
     assert data["schema"] == "repro-counters/v1"
@@ -299,7 +299,7 @@ def test_tag_attribution_decomposes_exactly():
 
 
 def test_counters_zero_without_tag_attribution():
-    result, _, _ = run_workload("fast", attribute_tags=False)
+    result, _, _ = run_workload("jit", attribute_tags=False)
     counters = result.perf_counters()
     assert counters.btra_events == 0 and counters.btdp_events == 0
     assert counters.tag_counts == {}
@@ -322,8 +322,8 @@ def test_profiler_folded_stacks_byte_identical_across_backends():
     for backend in BACKENDS:
         _, _, profiler = run_workload(backend, profiler=True)
         folded[backend] = profiler.folded_stacks()
-    assert folded["reference"] == folded["fast"]
-    for line in folded["fast"].splitlines():
+    assert folded["reference"] == folded["jit"]
+    for line in folded["jit"].splitlines():
         key, _, cycles = line.rpartition(" ")
         assert key and float(cycles) > 0.0
 
@@ -372,8 +372,8 @@ def test_profiler_sees_faulting_runs_identically():
         with pytest.raises(BoobyTrapTriggered):
             cpu.run()
         folded[backend] = (profiler.folded_stacks(), profiler.instructions)
-    assert folded["reference"] == folded["fast"]
-    assert folded["fast"][1] == 2  # NOP + the trap itself
+    assert folded["reference"] == folded["jit"]
+    assert folded["jit"][1] == 2  # NOP + the trap itself
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +439,7 @@ def test_observability_is_passive(seed, mode, backend, load_seed):
 
 @pytest.fixture(scope="module")
 def bench_report():
-    return run_bench(backend="fast", workloads=["xz"])
+    return run_bench(backend="jit", workloads=["xz"])
 
 
 def test_bench_report_is_schema_valid(bench_report):
@@ -474,7 +474,7 @@ def test_bench_validate_reports_violations():
 
 def test_render_bench_table(bench_report):
     text = render_bench(bench_report)
-    assert "backend=fast" in text
+    assert "backend=jit" in text
     assert "xz" in text and "full-avx" in text
     assert "vs base" in text and "+" in text  # overhead column is populated
     assert "engine:" in text and "failures 0" in text

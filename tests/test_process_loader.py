@@ -135,7 +135,7 @@ def test_cloned_process_runs_byte_identical_to_fresh_load():
     from repro.workloads.victim import build_victim
 
     binary = compile_module(build_victim(requests=3), R2CConfig.full(seed=9))
-    for backend in ("reference", "fast"):
+    for backend in ("reference", "jit"):
         original = load_binary(binary, seed=7)
         fresh = load_binary(binary, seed=7)
         clone = original.clone()

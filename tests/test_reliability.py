@@ -139,7 +139,7 @@ def test_bitflip_deterministic_across_engines_and_backends():
         rules=(FaultRule("FLIP", "bitflip", match="flip/*", count=32, region="data"),),
     )
     canonicals = []
-    for backend in ("reference", "fast"):
+    for backend in ("reference", "jit"):
         for _ in range(2):
             with ExperimentEngine(jobs=1, backend=backend, fault_plan=plan) as engine:
                 record = engine.submit(victim_requests(["flip/x"]))[0]
@@ -154,7 +154,7 @@ def test_fault_outcomes_identical_across_backends():
         rules=(FaultRule("OOM", "alloc-oom", match="inject/oom", after_allocs=4),)
     )
     per_backend = []
-    for backend in ("reference", "fast"):
+    for backend in ("reference", "jit"):
         with ExperimentEngine(jobs=1, backend=backend, fault_plan=plan) as engine:
             record = engine.submit(victim_requests(["inject/oom"]))[0]
         assert record.outcome == "fault"

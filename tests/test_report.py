@@ -89,11 +89,11 @@ def test_render_engine_summary_with_failures():
         compile_seconds=1.25,
         run_seconds=3.5,
         worker_runs={0: 4, 1: 4},
-        backend="fast",
+        backend="jit",
         failures=failures,
     )
     text = render_engine_summary(summary)
-    assert "8 runs executed" in text and "backend=fast" in text
+    assert "8 runs executed" in text and "backend=jit" in text
     assert "compile 1.25s" in text and "run 3.50s" in text
     assert "workers (2): 0:4, 1:4" in text
     assert "failures: 2 (fault:1, timeout:1)" in text
@@ -103,7 +103,7 @@ def test_render_engine_summary_with_failures():
 
 def _bench_report():
     return BenchReport(
-        backend="fast",
+        backend="jit",
         machine="epyc-rome",
         quick=True,
         jobs=1,
@@ -157,7 +157,7 @@ def _bench_report():
 
 def test_render_bench_overhead_column():
     text = render_bench(_bench_report())
-    assert "Bench: backend=fast machine=epyc-rome quick=True jobs=1" in text
+    assert "Bench: backend=jit machine=epyc-rome quick=True jobs=1" in text
     lines = {line.split()[0:2][0] + "/" + line.split()[1]: line
              for line in text.splitlines() if line.startswith(("xz", "mcf"))}
     # Baseline and failed cells render no overhead ratio.

@@ -106,7 +106,7 @@ def test_clone_isolates_architectural_state(case):
     """Running the original to completion never mutates a clone taken
     mid-flight (lists and i-cache are deep enough copies)."""
     instrs, split = case
-    backend, program, state = _fresh(instrs, "fast")
+    backend, program, state = _fresh(instrs, "jit")
     result = ExecutionResult()
     backend.step(program, state, result, split)
     snapshot = state.clone()

@@ -73,7 +73,7 @@ def test_crash_report_identical_across_backends():
     """Both execution backends leave identical post-mortem state, so the
     serialized reports are byte-identical."""
     payloads = []
-    for backend in ("reference", "fast"):
+    for backend in ("reference", "jit"):
         session = VictimSession(R2CConfig.full(seed=5), backend=backend)
         probe = session.probe_ex(wild_read)
         assert probe.exception is not None
