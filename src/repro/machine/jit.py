@@ -37,13 +37,15 @@ constant from a baked table, then re-raise with ``rip`` at the faulting
 instruction).  Interpreter segments run block-granular spans on the
 *reference* loop directly into the caller's result — exact, because all
 cycle accounting is integer units.  A drive that starts with a trace
-hook installed runs on the reference loop wholesale.  The differential
+hook installed, tag attribution or opcode counting runs on the reference
+loop wholesale: all three observe every instruction, so compiled blocks
+only ever do the unattributed accounting.  The differential
 suite holds ``jit`` to byte-identical :class:`ExecutionResult`\\ s,
 faults, ``rip``, counters, folded profiles, and lockstep divergence
 points against ``reference``.
 
 Compiled code objects are cached per (module fingerprint, config digest,
-address-space layout, cost-model signature, accounting flags): lockstep
+address-space layout, cost-model signature): lockstep
 replicas of one image re-``exec`` shared code objects against their own
 memory bindings instead of re-generating source
 (:meth:`JitBackend.clone_program`).
@@ -69,7 +71,6 @@ from repro.machine.blocks import (
     slice_block,
 )
 from repro.machine.costs import CYCLE_UNIT, costs_signature, fold_cost
-from repro.machine.cpu import UNTAGGED_TAG
 from repro.machine.icache import block_line_plan, line_span
 from repro.machine.isa import Imm, Mem, Op, Reg
 from repro.numeric import MASK64, to_signed, truncated_div
@@ -413,34 +414,26 @@ def _make_probers(ways: int, monotone: bool):
 class _SliceCompiler:
     """Generates the source of one block function.
 
-    Two accounting strategies share the semantics emitter:
-
-    * **lean** (no tag attribution, no opcode counting — the hot
-      configuration): per-instruction instruction counts, cycle charges,
-      guaranteed i-cache hits, and memory-op counts fold into *static
-      integer constants* accumulated at codegen time.  The generated body
-      carries only the genuinely dynamic parts — LRU probes for lines not
-      guaranteed resident (hits ``h``, misses ``m``, penalty units
-      ``pu``) — and the terminator flush charges ``K + pu`` in one
-      statement.  Faults restore the exact executed prefix from a baked
-      per-block table keyed by faulting ``rip``.
-    * **rich** (attribution and/or opcode counts): per-instruction
-      charges are emitted inline in the interpreters' order, with integer
-      unit literals, per-tag dict updates, and per-opcode counts.
+    Per-instruction instruction counts, cycle charges, guaranteed i-cache
+    hits, and memory-op counts fold into *static integer constants*
+    accumulated at codegen time.  The generated body carries only the
+    genuinely dynamic parts — LRU probes for lines not guaranteed
+    resident (misses ``m``) — and the terminator flush charges
+    ``K + m * penalty`` in one statement.  Faults restore the exact
+    executed prefix from a baked per-block table keyed by faulting
+    ``rip``.  Tag attribution and opcode counting are never compiled:
+    drives with either on run on the reference loop.
     """
 
     def __init__(self, addr: int, items, jus: List[_JU], fused, costs,
-                 attribute: bool, count_ops: bool, monotone: bool = False):
+                 monotone: bool = False):
         self.addr = addr
         self.jus = jus
         self.costs = costs
-        self.attribute = attribute
-        self.count_ops = count_ops
-        self.rich = attribute or count_ops
-        #: Text fits the i-cache (see :func:`_text_fits_icache`): lean
-        #: probes are first-touch-only and skippable once the block has
-        #: probed to completion.  Rich mode keeps inline exact probes.
-        self.monotone = monotone and not self.rich
+        #: Text fits the i-cache (see :func:`_text_fits_icache`): probes
+        #: are first-touch-only and skippable once the block has probed to
+        #: completion.
+        self.monotone = monotone
         self.num_sets = costs.icache_size // (costs.icache_line * costs.icache_ways)
         self.ways = costs.icache_ways
         self.penalty = costs.icache_miss_penalty_units
@@ -456,7 +449,7 @@ class _SliceCompiler:
         self.has_probe = any(must for probes in self.plan for _, must in probes)
         self.has_mem_any = any(j.has_mem for j in jus)
         self.used_shadow = any(j.op in (Op.CALL, Op.RET) for j in jus)
-        # Lean-mode static accumulators and the per-prefix fault table.
+        # Static accumulators and the per-prefix fault table.
         self.stat_x = 0
         self.stat_k = 0
         self.stat_g = 0
@@ -472,9 +465,6 @@ class _SliceCompiler:
         # number via a baked table (see :func:`_fault_lineno`).
         self._line_rip: List[int] = []
         self._ctx_rip = next((j.rip for j in jus if _faultable(j)), 0)
-        # Rich-mode used flags (mirror the per-instruction emitter).
-        self.used_miss = False
-        self.used_mem = False
 
     # -- helpers -----------------------------------------------------------
 
@@ -483,7 +473,7 @@ class _SliceCompiler:
         self._line_rip.append(self._ctx_rip)
 
     def flush_probes(self) -> None:
-        """Emit the pending LRU probe batch (lean mode).
+        """Emit the pending LRU probe batch.
 
         Probes of consecutive non-faultable instructions batch into one
         generated statement: nothing between two faultable statements can
@@ -511,23 +501,16 @@ class _SliceCompiler:
 
     def flush_stmts(self) -> List[str]:
         out = ["C[0] = n"]
-        if self.rich:
-            out.append("C[3] += h")
-            if self.used_miss:
-                out.append("C[4] += m")
-            if self.used_mem:
-                out.append("C[2] += o")
+        if self.has_probe:
+            out.append(f"C[1] += {self.stat_k} + m * {self.penalty}")
+            out.append(f"C[3] += {self.stat_g + self.stat_p} - m")
+            out.append("C[4] += m")
         else:
-            if self.has_probe:
-                out.append(f"C[1] += {self.stat_k} + m * {self.penalty}")
-                out.append(f"C[3] += {self.stat_g + self.stat_p} - m")
-                out.append("C[4] += m")
-            else:
-                out.append(f"C[1] += {self.stat_k}")
-                if self.stat_g:
-                    out.append(f"C[3] += {self.stat_g}")
-            if self.stat_o:
-                out.append(f"C[2] += {self.stat_o}")
+            out.append(f"C[1] += {self.stat_k}")
+            if self.stat_g:
+                out.append(f"C[3] += {self.stat_g}")
+        if self.stat_o:
+            out.append(f"C[2] += {self.stat_o}")
         return out
 
     def emit_flush_and(self, tail: str) -> None:
@@ -535,10 +518,10 @@ class _SliceCompiler:
             self.emit(stmt)
         self.emit(tail)
 
-    # -- inlined memory word access (lean mode) ----------------------------
+    # -- inlined memory word access ------------------------------------------
     #
     # The single hottest thing compiled code does is call
-    # ``Memory.read_word``/``write_word``.  Lean blocks inline the aligned
+    # ``Memory.read_word``/``write_word``.  Blocks inline the aligned
     # single-page fast path instead: ``RMG``/``WMG`` are bound ``dict.get``
     # methods over the memory's word-view maps (page base -> 64-bit
     # memoryview, present iff the page is materialized and currently
@@ -547,14 +530,10 @@ class _SliceCompiler:
     # unaligned, unmaterialized, unmapped, protected, guard, big-endian
     # host — falls back to the accessor call, which reproduces the exact
     # behaviour including the fault, from a line the ``LN`` table
-    # attributes to the same instruction.  Rich mode keeps plain calls
-    # (observability runs are not the hot configuration).
+    # attributes to the same instruction.
 
     def emit_load_q(self, target: str, qvar: str) -> None:
         """``target = read_word(qvar)`` with the aligned path inline."""
-        if self.rich:
-            self.emit(f"{target} = RW({qvar})")
-            return
         self.emit(f"z = {qvar} & 4095")
         self.emit(f"u = RMG({qvar} - z)")
         self.emit(f"{target} = u[z >> 3] if u is not None and not z & 7 else RW({qvar})")
@@ -562,9 +541,6 @@ class _SliceCompiler:
     def emit_load(self, target: str, off: int, base: Optional[int]) -> None:
         """``target = read_word(off [+ r[base]])``; absolute addresses fold
         the page split and alignment test at codegen time."""
-        if self.rich:
-            self.emit(f"{target} = RW({_mem_addr_expr(off, base)})")
-            return
         if base is None:
             z = off & 4095
             if not z & 7:
@@ -581,18 +557,12 @@ class _SliceCompiler:
         ``value`` must be side-effect-free and already 64-bit masked (all
         register values, classified immediates, and masked ALU results
         are; the word view raises on out-of-range stores)."""
-        if self.rich:
-            self.emit(f"WW({qvar}, {value})")
-            return
         self.emit(f"z = {qvar} & 4095")
         self.emit(f"u = WMG({qvar} - z)")
         self.emit(f"if u is None or z & 7: WW({qvar}, {value})")
         self.emit(f"else: u[z >> 3] = {value}")
 
     def emit_store(self, off: int, base: Optional[int], value: str) -> None:
-        if self.rich:
-            self.emit(f"WW({_mem_addr_expr(off, base)}, {value})")
-            return
         if base is None:
             z = off & 4095
             if not z & 7:
@@ -607,7 +577,7 @@ class _SliceCompiler:
 
     # -- accounting --------------------------------------------------------
 
-    def account_lean(self, position: int, ju: _JU) -> None:
+    def account(self, position: int, ju: _JU) -> None:
         for line, must_probe in self.plan[position]:
             if not must_probe:
                 self.stat_g += 1
@@ -624,59 +594,6 @@ class _SliceCompiler:
             self.xb[ju.rip] = (
                 self.stat_x, self.stat_k, self.stat_g, self.stat_o, self.stat_p,
             )
-            self._ctx_rip = ju.rip
-
-    def account_rich(self, position: int, ju: _JU) -> None:
-        if self.needs_try:
-            self.emit("x += 1")
-        probes = self.plan[position]
-        max_miss = sum(1 for entry in probes if entry[1])
-        k = [
-            repr(fold_cost(self.costs, ju.op, misses, ju.has_mem))
-            for misses in range(max_miss + 1)
-        ]
-        charge = "w = {0}" if self.attribute else "C[1] += {0}"
-        if max_miss == 0:
-            for _ in probes:
-                self.emit("h += 1")
-            self.emit(charge.format(k[0]))
-        elif len(probes) == 1:
-            line = probes[0][0]
-            self.used_miss = True
-            self.emit(f"e = S[{line % self.num_sets}]")
-            self.emit(f"if {line} in e:")
-            self.emit(f"    e.move_to_end({line}); h += 1; " + charge.format(k[0]))
-            self.emit("else:")
-            self.emit(f"    m += 1; e[{line}] = True")
-            self.emit(f"    if len(e) > {self.ways}: e.popitem(last=False)")
-            self.emit("    " + charge.format(k[1]))
-        else:
-            # Multi-line fetch with at least one real probe: count misses.
-            self.used_miss = True
-            self.emit("ms = 0")
-            for line, must_probe in probes:
-                if not must_probe:
-                    self.emit("h += 1")
-                    continue
-                self.emit(f"e = S[{line % self.num_sets}]")
-                self.emit(f"if {line} in e:")
-                self.emit(f"    e.move_to_end({line}); h += 1")
-                self.emit("else:")
-                self.emit(f"    ms += 1; m += 1; e[{line}] = True")
-                self.emit(f"    if len(e) > {self.ways}: e.popitem(last=False)")
-            self.emit(charge.format(f"({', '.join(k)})[ms]"))
-        if ju.has_mem:
-            self.used_mem = True
-            self.emit("o += 1")
-        if self.attribute:
-            tag = repr(ju.tag if ju.tag is not None else UNTAGGED_TAG)
-            self.emit("C[1] += w")
-            self.emit(f"d = C[7]; d[{tag}] = d.get({tag}, 0) + w")
-            self.emit(f"d = C[8]; d[{tag}] = d.get({tag}, 0) + 1")
-        if self.count_ops:
-            name = f"OP_{ju.op.name}"
-            self.emit(f"d = C[9]; d[{name}] = d.get({name}, 0) + 1")
-        if self.needs_try and _faultable(ju):
             self._ctx_rip = ju.rip
 
     # -- semantics ---------------------------------------------------------
@@ -881,10 +798,7 @@ class _SliceCompiler:
         jus = self.jus
         last = len(jus) - 1
         for position, ju in enumerate(jus):
-            if self.rich:
-                self.account_rich(position, ju)
-            else:
-                self.account_lean(position, ju)
+            self.account(position, ju)
             if position == last:
                 # Nothing can fault past here: run any still-pending probes.
                 self.flush_probes()
@@ -904,15 +818,7 @@ class _SliceCompiler:
             f"    if n > C[5] or E[{addr}] != C[6]:",
             f"        return {~addr}",
         ]
-        if self.rich:
-            head.append("    h = 0")
-            if self.used_miss:
-                head.append("    m = 0")
-            if self.used_mem:
-                head.append("    o = 0")
-            if self.needs_try:
-                head.append("    x = 0")
-        elif self.has_probe:
+        if self.has_probe:
             head.append("    m = 0")
             if self.monotone:
                 head.append(f"    f = {addr} in PD")
@@ -923,30 +829,22 @@ class _SliceCompiler:
             head.append("    try:")
             tail.append("    except BaseException:")
             tail.append(f"        I = LN_{addr:x}[TB()]")
-            if self.rich:
-                tail.append("        C[0] += x")
-                tail.append("        C[3] += h")
-                if self.used_miss:
-                    tail.append("        C[4] += m")
-                if self.used_mem:
-                    tail.append("        C[2] += o")
+            tail.append(f"        x_, k_, g_, o_, p_ = X_{addr:x}[I]")
+            tail.append("        C[0] += x_")
+            if self.has_probe:
+                tail.append(f"        C[1] += k_ + m * {self.penalty}")
+                tail.append("        C[3] += g_ + p_ - m")
+                tail.append("        C[4] += m")
             else:
-                tail.append(f"        x_, k_, g_, o_, p_ = X_{addr:x}[I]")
-                tail.append("        C[0] += x_")
-                if self.has_probe:
-                    tail.append(f"        C[1] += k_ + m * {self.penalty}")
-                    tail.append("        C[3] += g_ + p_ - m")
-                    tail.append("        C[4] += m")
-                else:
-                    tail.append("        C[1] += k_")
-                    tail.append("        C[3] += g_")
-                if self.has_mem_any:
-                    tail.append("        C[2] += o_")
+                tail.append("        C[1] += k_")
+                tail.append("        C[3] += g_")
+            if self.has_mem_any:
+                tail.append("        C[2] += o_")
             tail.append("        cpu.rip = I")
             tail.append("        raise")
         if self.needs_try:
             # The faulting-line -> rip map the except handler reads.  Both
-            # baked tables (this and the lean fault-prefix table ``xb``)
+            # baked tables (this and the fault-prefix table ``xb``)
             # are injected into the execution namespace as objects at link
             # time rather than rendered as source literals — ``compile()``
             # never parses them.
@@ -961,7 +859,7 @@ class _SliceCompiler:
 
 
 # ---------------------------------------------------------------------------
-# Compiled-code cache, variants, and programs
+# Compiled-code cache and programs
 # ---------------------------------------------------------------------------
 
 
@@ -972,19 +870,16 @@ class _BlockUnit:
     :class:`_SliceCompiler`): linked into the execution namespace as
     plain objects so the source ``compile()`` parses stays small."""
 
-    __slots__ = ("code", "name", "length", "fused", "x_table", "ln_table")
+    __slots__ = ("code", "name", "x_table", "ln_table")
 
-    def __init__(self, code, name: str, length: int, fused: int,
-                 x_table=None, ln_table=None):
+    def __init__(self, code, name: str, x_table=None, ln_table=None):
         self.code = code
         self.name = name
-        self.length = length
-        self.fused = fused
         self.x_table = x_table
         self.ln_table = ln_table
 
 
-#: (fingerprint, digest, layout bases, costs signature, flags) ->
+#: (fingerprint, digest, layout bases, costs signature, monotone) ->
 #: {block head address: _BlockUnit or None (negative-cached: interp-only)}.
 _CODE_CACHE: Dict[tuple, Dict[int, Optional[_BlockUnit]]] = {}
 
@@ -994,31 +889,67 @@ def clear_jit_cache() -> None:
     _CODE_CACHE.clear()
 
 
-class _Variant:
-    """One accounting-flag variant of a program, linked to one process.
+class JitProgram:
+    """Prepared form for the ``jit`` backend: a cheap handle over the
+    process's instruction index.  All lowering is lazy — no decode, no
+    bind, no codegen happens here — so cold or short-lived processes pay
+    nothing for selecting this backend.
 
-    Holds the per-process execution namespace (memory accessors, runtime
-    services, error types), the address -> linked-function dispatch
-    table, per-head entry counts driving promotion, the negative cache of
-    heads that cannot lower, and the per-head validated fetch epochs."""
+    Besides the address -> linked-function dispatch ``table``, it holds
+    the per-head entry counts driving promotion (``entries``), the
+    negative cache of heads that cannot lower (``no_compile``) and the
+    per-head validated fetch epochs (``epochs``).  The shared code-cache
+    slot (``units``) and the per-process execution ``namespace`` (memory
+    accessors, runtime services, error types) are bound by :meth:`link`
+    on the first compiled drive."""
 
     __slots__ = (
-        "flags", "units", "table", "entries", "no_compile", "epochs", "namespace",
+        "process", "costs", "instructions", "cache_key", "_monotone",
+        "units", "table", "entries", "no_compile", "epochs", "namespace",
     )
 
-    def __init__(self, program: "JitProgram", flags: Tuple[bool, bool]):
-        self.flags = flags
-        monotone = program.monotone()
-        key = (
-            None if program.cache_key is None
-            else program.cache_key + flags + (monotone,)
-        )
-        self.units = {} if key is None else _CODE_CACHE.setdefault(key, {})
+    def __init__(self, process, costs):
+        self.process = process
+        self.costs = costs
+        self.instructions = process.instructions
+        self._monotone: Optional[bool] = None
+        self.units: Dict[int, Optional[_BlockUnit]] = {}
         self.table: Dict[int, object] = {}
         self.entries: Dict[int, int] = {}
         self.no_compile: set = set()
         self.epochs: Dict[int, int] = {}
-        process = program.process
+        self.namespace: Optional[dict] = None
+        binary = process.binary
+        fingerprint = getattr(binary, "module_fingerprint", None)
+        digest = getattr(binary, "config_digest", None)
+        if fingerprint and digest:
+            layout = process.layout
+            self.cache_key = (
+                fingerprint,
+                digest,
+                layout.text_base,
+                layout.data_base,
+                layout.heap_base,
+                layout.stack_base,
+                costs_signature(costs),
+            )
+        else:
+            self.cache_key = None
+
+    def monotone(self) -> bool:
+        """Whether the text working set fits the i-cache (computed once,
+        lazily — it walks the instruction index)."""
+        if self._monotone is None:
+            self._monotone = _text_fits_icache(self.instructions, self.costs)
+        return self._monotone
+
+    def link(self) -> dict:
+        """Bind the shared code-cache slot and build the execution
+        namespace compiled block functions run against."""
+        monotone = self.monotone()
+        if self.cache_key is not None:
+            self.units = _CODE_CACHE.setdefault(self.cache_key + (monotone,), {})
+        process = self.process
         memory = process.memory
         namespace = {
             "M": MASK64,
@@ -1044,82 +975,12 @@ class _Variant:
             "TB": _fault_lineno,
         }
         namespace["PRB1"], namespace["PRB"] = _make_probers(
-            program.costs.icache_ways, monotone
+            self.costs.icache_ways, monotone
         )
-        # Per-variant "block fully probed" marks for monotone mode.
+        # "Block fully probed" marks for monotone mode.
         namespace["PD"] = {}
-        for op in Op:
-            namespace[f"OP_{op.name}"] = op
         self.namespace = namespace
-
-
-class JitProgram:
-    """Prepared form for the ``jit`` backend: a cheap handle over the
-    process's instruction index.  All lowering is lazy — no decode, no
-    bind, no codegen happens here — so cold or short-lived processes pay
-    nothing for selecting this backend."""
-
-    __slots__ = (
-        "process", "costs", "instructions", "variants", "cache_key",
-        "_monotone",
-    )
-
-    def __init__(self, process, costs):
-        self.process = process
-        self.costs = costs
-        self.instructions = process.instructions
-        self.variants: Dict[Tuple[bool, bool], _Variant] = {}
-        self._monotone: Optional[bool] = None
-        binary = process.binary
-        fingerprint = getattr(binary, "module_fingerprint", None)
-        digest = getattr(binary, "config_digest", None)
-        if fingerprint and digest:
-            layout = process.layout
-            self.cache_key = (
-                fingerprint,
-                digest,
-                layout.text_base,
-                layout.data_base,
-                layout.heap_base,
-                layout.stack_base,
-                costs_signature(costs),
-            )
-        else:
-            self.cache_key = None
-
-    def monotone(self) -> bool:
-        """Whether the text working set fits the i-cache (computed once,
-        lazily — it walks the instruction index)."""
-        if self._monotone is None:
-            self._monotone = _text_fits_icache(self.instructions, self.costs)
-        return self._monotone
-
-    def variant(self, attribute: bool, count_ops: bool) -> _Variant:
-        key = (bool(attribute), bool(count_ops))
-        linked = self.variants.get(key)
-        if linked is None:
-            linked = _Variant(self, key)
-            self.variants[key] = linked
-        return linked
-
-    def stats(self) -> Dict[str, int]:
-        """Lowering statistics across this program's linked variants."""
-        compiled = set()
-        interp_only = set()
-        fused = 0
-        for variant in self.variants.values():
-            for addr, unit in variant.units.items():
-                if unit is None:
-                    interp_only.add(addr)
-                elif addr not in compiled:
-                    compiled.add(addr)
-                    fused += unit.fused
-        return {
-            "blocks": len(compiled) + len(interp_only),
-            "tier2_blocks": len(compiled),
-            "tier1_blocks": len(interp_only),
-            "superinstructions_fused": fused,
-        }
+        return namespace
 
 
 # ---------------------------------------------------------------------------
@@ -1148,8 +1009,8 @@ class JitBackend:
     # -- program management -------------------------------------------------
 
     def prepare(self, state):
-        cache = state.process.uop_programs
-        key = ("jit", id(state.costs))
+        cache = state.process.jit_programs
+        key = id(state.costs)
         entry = cache.get(key)
         if entry is not None and entry[0] is state.costs:
             return entry[1]
@@ -1165,37 +1026,37 @@ class JitBackend:
         and compile each hot block's source exactly once."""
         clone = JitProgram(state.process, state.costs)
         JIT_STATS["programs"] += 1
-        state.process.uop_programs[("jit", id(state.costs))] = (state.costs, clone)
+        state.process.jit_programs[id(state.costs)] = (state.costs, clone)
         return clone
 
     # -- lowering -----------------------------------------------------------
 
-    def _promote(self, program, variant, addr: int):
+    def _promote(self, program, addr: int):
         """Lower the slice at ``addr`` to a linked block function, or
         negative-cache it (returns None: interpret this head forever)."""
-        units = variant.units
+        units = program.units
         if addr in units:
             unit = units[addr]
             if unit is not None:
                 JIT_STATS["code_cache_hits"] += 1
         else:
-            unit = self._compile_slice(program, variant, addr)
+            unit = self._compile_slice(program, addr)
             units[addr] = unit
         if unit is None:
-            variant.no_compile.add(addr)
+            program.no_compile.add(addr)
             return None
-        namespace = variant.namespace
+        namespace = program.namespace
         if unit.ln_table is not None:
             namespace[f"LN_{addr:x}"] = unit.ln_table
         if unit.x_table is not None:
             namespace[f"X_{addr:x}"] = unit.x_table
         exec(unit.code, namespace)
         fn = namespace[unit.name]
-        variant.epochs.setdefault(addr, -1)
-        variant.table[addr] = fn
+        program.epochs.setdefault(addr, -1)
+        program.table[addr] = fn
         return fn
 
-    def _compile_slice(self, program, variant, addr: int) -> Optional[_BlockUnit]:
+    def _compile_slice(self, program, addr: int) -> Optional[_BlockUnit]:
         items = slice_block(program.instructions, addr, _SLICE_LIMIT)
         if not items:
             return None
@@ -1206,18 +1067,16 @@ class JitBackend:
                 return None
             jus.append(ju)
         fused = fuse_slice(items)
-        attribute, count_ops = variant.flags
         compiler = _SliceCompiler(
-            addr, items, jus, fused, program.costs, attribute, count_ops,
-            monotone=program.monotone(),
+            addr, items, jus, fused, program.costs, monotone=program.monotone()
         )
         source = compiler.generate()
         code = compile(source, f"<jit:{addr:#x}>", "exec")
         JIT_STATS["blocks_compiled"] += 1
         JIT_STATS["superinstructions_fused"] += len(fused)
         return _BlockUnit(
-            code, f"b_{addr:x}", len(items), len(fused),
-            x_table=compiler.xb if compiler.needs_try and not compiler.rich else None,
+            code, f"b_{addr:x}",
+            x_table=compiler.xb if compiler.needs_try else None,
             ln_table=compiler.ln,
         )
 
@@ -1239,20 +1098,23 @@ class JitBackend:
         return state._halted
 
     def _drive(self, program, cpu, res, max_steps: Optional[int]):
-        if cpu.trace_fn is not None:
-            # Trace hooks observe every instruction, so the whole drive
-            # runs on the reference interpreter (profilers ride it).
+        if cpu.trace_fn is not None or cpu.attribute_tags or cpu.count_opcodes:
+            # Trace hooks, tag attribution and opcode counting observe
+            # every instruction, so the whole drive runs on the reference
+            # interpreter (profilers ride it).
             self._reference._drive(program.instructions, cpu, res, max_steps)
             return
 
         process = cpu.process
         memory = process.memory
         icache = cpu.icache
-        variant = program.variant(cpu.attribute_tags, cpu.count_opcodes)
-        table_get = variant.table.get
-        entries = variant.entries
-        no_compile = variant.no_compile
-        epochs_get = variant.epochs.get
+        namespace = program.namespace
+        if namespace is None:
+            namespace = program.link()
+        table_get = program.table.get
+        entries = program.entries
+        no_compile = program.no_compile
+        epochs_get = program.epochs.get
 
         cpu._bk_shadow = cpu.shadow_stack if cpu.shadow_stack_enabled else None
         cpu._bk_calls = 0
@@ -1266,19 +1128,14 @@ class JitBackend:
         # boundaries and once at the end: C[0] instructions, C[1] cycle
         # units, C[2] memory ops, C[3]/C[4] i-cache hits/misses, C[5] the
         # folded instruction allowance block prologs compare against,
-        # C[6] the drive's mirror of the memory permission epoch, and the
-        # result's attribution dicts (aliased, updated in place).
-        C = [
-            0, 0, 0, 0, 0, 0, memory.perm_epoch,
-            res.tag_cycle_units, res.tag_counts, res.opcode_counts,
-        ]
+        # and C[6] the drive's mirror of the memory permission epoch.
+        C = [0, 0, 0, 0, 0, 0, memory.perm_epoch]
         self._allowance(cpu, res, C, max_total)
         r = cpu.regs
         S = icache._sets
         # "Block fully probed" marks describe one i-cache's contents; if a
         # cached program is ever re-driven against a fresh machine state
         # (new, cold i-cache), the marks must not carry over.
-        namespace = variant.namespace
         if namespace.get("PD_OWNER") is not icache:
             namespace["PD"].clear()
             namespace["PD_OWNER"] = icache
@@ -1294,7 +1151,7 @@ class JitBackend:
                         count = entries.get(rip, 0) + 1
                         entries[rip] = count
                         if count >= _PROMOTE_THRESHOLD:
-                            fn = promote(program, variant, rip)
+                            fn = promote(program, rip)
                     if fn is None:
                         if not interp(program, cpu, res, C, memory, max_total):
                             break
@@ -1310,7 +1167,7 @@ class JitBackend:
                 addr = ~value
                 cpu.rip = addr
                 if epochs_get(addr, -1) != C[6] and self._revalidate(
-                    program, memory, variant.epochs, addr, C
+                    program, memory, addr, C
                 ):
                     continue
                 JIT_STATS["deopts"] += 1
@@ -1357,10 +1214,6 @@ class JitBackend:
         cpu._bk_taken = 0
         res.traps += cpu._bk_traps
         cpu._bk_traps = 0
-        if cpu.attribute_tags and res.tag_cycle_units:
-            res.tag_cycles = {
-                tag: units / CYCLE_UNIT for tag, units in res.tag_cycle_units.items()
-            }
         res.output = process.output
 
     def _interp(self, program, cpu, res, C, memory, max_total: Optional[int]) -> bool:
@@ -1397,7 +1250,7 @@ class JitBackend:
             return False
         return True
 
-    def _revalidate(self, program, memory, epochs, addr: int, C) -> bool:
+    def _revalidate(self, program, memory, addr: int, C) -> bool:
         """Fetch-check the slice at ``addr`` against current permissions.
         On success the block's epoch is stamped and compiled code may
         skip per-instruction fetch checks; on failure the caller falls
@@ -1408,6 +1261,6 @@ class JitBackend:
         except MemoryFault:
             return False
         epoch = memory.perm_epoch
-        epochs[addr] = epoch
+        program.epochs[addr] = epoch
         C[6] = epoch
         return True

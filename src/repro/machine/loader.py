@@ -135,9 +135,3 @@ def make_cpu(process: Process, machine: str = "epyc-rome", **kwargs):
     from repro.machine.cpu import CPU
 
     return CPU(process, get_costs(machine), **kwargs)
-
-
-def prepare_stack(process: Process) -> int:
-    """Return the initial 16-byte-aligned stack pointer."""
-    top = process.layout.stack_top
-    return top & ~0xF

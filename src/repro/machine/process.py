@@ -16,7 +16,7 @@ pointers (Section 4.2).  ASLR slides each region independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import MachineError
 from repro.machine.isa import Instruction
@@ -24,7 +24,9 @@ from repro.machine.memory import Memory, PAGE_SIZE, Perm
 from repro.rng import DiversityRng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.machine.costs import MachineCosts
     from repro.machine.cpu import CPU
+    from repro.machine.jit import JitProgram
 
 
 # Region anchors (pre-ASLR).  Chosen so text/data, heap, and stack words are
@@ -124,9 +126,9 @@ class Process:
         self.exit_code: Optional[int] = None
         self._services: Dict[str, RuntimeService] = {}
         self._peak_resident = 0
-        # Prepared jit programs, one per cost model, filled lazily by
-        # repro.machine.jit.JitBackend.prepare.
-        self.uop_programs: Dict[int, tuple] = {}
+        # Prepared jit programs keyed by id() of their cost model, filled
+        # lazily by repro.machine.jit.JitBackend.prepare.
+        self.jit_programs: Dict[int, Tuple[MachineCosts, JitProgram]] = {}
         # Set by the loader:
         self.binary = None  # the Binary this process was loaded from
         self.allocator = None  # repro.heap.Allocator over the heap region
@@ -168,7 +170,7 @@ class Process:
         clone.exit_code = self.exit_code
         clone._services = dict(self._services)
         clone._peak_resident = self._peak_resident
-        clone.uop_programs = {}
+        clone.jit_programs = {}
         clone.binary = self.binary
         clone.allocator = (
             None if self.allocator is None else self.allocator.clone(clone.memory)
@@ -191,9 +193,6 @@ class Process:
         if address in self.instructions:
             raise MachineError(f"instruction overlap at {address:#x}")
         self.instructions[address] = instr
-
-    def instruction_at(self, address: int) -> Optional[Instruction]:
-        return self.instructions.get(address)
 
     # -- runtime services ------------------------------------------------------
 

@@ -101,14 +101,6 @@ class MachineState:
         #: passive trace hooks chain on ``trace_fn`` instead.
         self.debugger_attached = False
 
-    # -- register access ----------------------------------------------------
-
-    def get_reg(self, reg: Reg) -> int:
-        return self.regs[reg]
-
-    def set_reg(self, reg: Reg, value: int) -> None:
-        self.regs[reg] = value & MASK64
-
     # -- operand evaluation -------------------------------------------------
 
     def _mem_address(self, operand: Mem) -> int:

@@ -308,10 +308,12 @@ def test_runtime_service_changing_permissions_identical():
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_perf_counters_and_profiles_identical(seed, btra_mode):
     """Folded profiles, per-tag cycle decomposition, and shadow-ICache
-    attribution are backend-byte-identical.  The xz workload's call loop
-    promotes its callers and callees to tier-2 block functions, so
-    BTRA-displaced returns execute *inside* compiled blocks on both the
-    attributed leg and the lean leg below."""
+    attribution are backend-byte-identical.  On the attributed leg the
+    jit runs wholesale on the reference loop (``CycleProfiler`` installs
+    ``trace_fn``, and tag attribution routes there too).  On the lean leg
+    below, the xz workload's call loop promotes its callers and callees to
+    tier-2 block functions, so BTRA-displaced returns execute *inside*
+    compiled blocks."""
     from repro.machine.jit import clear_jit_cache, jit_stats_snapshot
     from repro.obs.profiler import CycleProfiler
     from repro.workloads.spec import build_spec_benchmark

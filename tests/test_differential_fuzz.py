@@ -347,7 +347,9 @@ def check_machine_seed(seed: int, budget: int = BUDGET) -> None:
     The primary run is *lean* (no opcode counting, no tag attribution) —
     the jit's hot configuration, whose blocks fold their accounting into
     static constants and baked fault tables.  Every fourth seed also
-    runs the rich variant for opcode-count and tag parity."""
+    runs with opcode counting and tag attribution on, a routing check:
+    the jit must hand such drives to the reference loop wholesale, so
+    counts and tags match."""
     spec = machine_spec(seed)
     try:
         differential(lambda: build_process(spec), instruction_budget=budget)
@@ -503,8 +505,9 @@ def check_ir_seed(seed: int) -> None:
         return process
 
     try:
-        # Lean first — the jit's hot configuration — then the rich
-        # variant for opcode-count and tag-attribution parity.
+        # Lean first — the jit's hot configuration — then a routing
+        # check: with opcode counting and tag attribution on, the jit
+        # runs on the reference loop, so counts and tags must match.
         outcome = differential(make, instruction_budget=BUDGET)
         assert outcome["error"] is None, outcome["error"]
         differential(

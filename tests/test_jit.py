@@ -5,8 +5,9 @@ to byte-identical results against ``reference`` across seeds and BTRA
 modes — every backend in the registry participates.  This module covers
 what is specific to lowering: static block partitioning and fusion, the
 ``disasm-blocks`` tier report, monotone i-cache detection, the
-compiled-code cache shared across loads of one image, and the deopt
-contract under a debugger — breakpoints and single-stepping mid-run must
+compiled-code cache shared across loads of one image, the routing of
+attributed and opcode-counting drives to the reference loop, and the
+deopt contract under a debugger — breakpoints and single-stepping mid-run must
 observe the exact same machine trajectory on ``jit`` as on
 ``reference``, including through BTRA-displaced returns.
 """
@@ -22,7 +23,7 @@ from repro.core.config import R2CConfig
 from repro.errors import ExecutionLimitExceeded
 from repro.machine.blocks import fuse_slice, slice_block, static_blocks
 from repro.machine.costs import get_costs
-from repro.machine.cpu import CPU
+from repro.machine.cpu import CPU, ExecutionResult
 from repro.machine.debugger import Debugger
 from repro.machine.isa import Imm, Instruction, Mem, Op, Reg
 from repro.machine.jit import (
@@ -298,12 +299,61 @@ def test_fetch_epoch_bump_between_back_edges():
     # last activation (after the third bump), and the run compiled each
     # of its four hot heads (outer loop, inner loop, CALLRT, outer tail)
     # at most once.
-    (program,) = [
-        entry[1] for key, entry in process.uop_programs.items() if key[0] == "jit"
-    ]
-    variant = program.variant(False, False)
-    assert variant.epochs[addresses[inner]] == bumped[2]
+    (program,) = [entry[1] for entry in process.jit_programs.values()]
+    assert program.epochs[addresses[inner]] == bumped[2]
     assert 0 < after["blocks_compiled"] - before["blocks_compiled"] <= 4
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        {"attribute_tags": True},
+        {"count_opcodes": True},
+        {"attribute_tags": True, "count_opcodes": True},
+    ],
+    ids=["attribute", "count-opcodes", "both"],
+)
+def test_attributed_and_counting_drives_run_on_reference_loop(flags):
+    """Compiled blocks do no per-tag or per-opcode accounting, so a jit
+    drive with tag attribution or opcode counting on runs wholesale on
+    the reference loop: the hot loop compiles nothing, and the result
+    (tags and opcode counts included) equals ``reference``'s, whether
+    the program runs in one ``execute`` or in ``step()`` slices."""
+    spec, _head, _body = hot_loop_spec()
+
+    def make():
+        return build_spec(spec)[0]
+
+    def stepped(backend):
+        process = make()
+        cpu = CPU(process, get_costs("epyc-rome"), backend=backend, **flags)
+        res = ExecutionResult()
+        cpu.rip = process.entry_point
+        while not cpu.step(res, 7):
+            pass
+        return {
+            "result": dataclasses.asdict(res),
+            "rip": cpu.rip,
+            "regs": list(cpu.regs),
+            "exit_code": process.exit_code,
+        }
+
+    backends = ("reference", "jit")
+    before = jit_stats_snapshot()
+    executed = {backend: run_one_backend(make, backend, **flags) for backend in backends}
+    sliced = {backend: stepped(backend) for backend in backends}
+    after = jit_stats_snapshot()
+    assert after["blocks_compiled"] == before["blocks_compiled"]
+    assert executed["jit"] == executed["reference"]
+    assert executed["jit"]["error"] is None
+    assert sliced["jit"] == sliced["reference"]
+    assert sliced["jit"]["result"] == executed["jit"]["result"]
+    result = executed["jit"]["result"]
+    if flags.get("attribute_tags"):
+        assert sum(result["tag_counts"].values()) == result["instructions"]
+        assert sum(result["tag_cycle_units"].values()) == result["cycle_units"]
+    if flags.get("count_opcodes"):
+        assert sum(result["opcode_counts"].values()) == result["instructions"]
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +424,10 @@ def test_disasm_blocks_tiers_match_jit_lowering(capsys):
     binary = compile_module(build_spec_benchmark("leela"), R2CConfig.full(seed=1))
     process = load_binary(binary, seed=1)
     program = JitProgram(process, get_costs("epyc-rome"))
-    variant = program.variant(False, False)
     backend = JitBackend()
     compiled = {
         head for head in reported
-        if backend._compile_slice(program, variant, head) is not None
+        if backend._compile_slice(program, head) is not None
     }
     assert compiled == {head for head, (_, tier) in reported.items() if tier == 2}
     assert 0 < len(compiled) < len(reported)
