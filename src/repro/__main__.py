@@ -10,7 +10,7 @@ Usage::
     python -m repro lint --corpus spec   # static verification sweep
     python -m repro chaos --jobs 4       # fault-injection matrix
     python -m repro profile xz           # hot-path cycle profile
-    python -m repro bench --quick --out BENCH_smoke.json
+    python -m repro fleet --workers 4 --out BENCH_fleet.json
 
 ``--quick`` shrinks benchmark subsets and seed counts so a full pass
 finishes in a couple of minutes; omit it for the benchmark-suite-sized
@@ -669,97 +669,19 @@ def mvee_main(argv) -> int:
     return 1 if outcome is MveeOutcome.COMPROMISED else 0
 
 
-def bench_main(argv) -> int:
-    """``python -m repro bench``: the benchmark regression harness.
-
-    Writes one schema-versioned JSON artifact per invocation (the
-    benchmark trajectory) and exits 1 on any non-ok cell or
-    schema-invalid artifact, so CI can gate on it.
-    """
-    import json
-
-    from repro.obs.bench import run_bench, run_lockstep_bench, validate
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench",
-        description="Run the (workload x config) benchmark grid and record "
-        "simulated cycles, cache behavior, wall time, and engine failures "
-        "as a repro-bench/v1 JSON artifact.",
-    )
-    parser.add_argument(
-        "--quick", action="store_true", help="reduced workload set for CI smoke legs"
-    )
-    parser.add_argument(
-        "--backend",
-        default="reference",
-        choices=available_backends(),
-        help="execution backend (default: reference)",
-    )
-    parser.add_argument(
-        "--machine", default="epyc-rome", help="cost model (default: epyc-rome)"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker processes (default: 1)"
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="artifact path (default: BENCH_<date>.json)",
-    )
-    parser.add_argument(
-        "--lockstep",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also run the N-variant lockstep leg (webserver replicas; "
-        "records the amortized-decode cost ratio)",
-    )
-    args = parser.parse_args(argv)
-    out = args.out or time.strftime("BENCH_%Y-%m-%d.json")
-
-    started = time.perf_counter()
-    bench_report = run_bench(
-        backend=args.backend, machine=args.machine, jobs=args.jobs,
-        quick=args.quick,
-    )
-    if args.lockstep:
-        bench_report.lockstep = run_lockstep_bench(
-            variants=args.lockstep, backend=args.backend, machine=args.machine
-        )
-        lock = bench_report.lockstep
-        print(
-            f"lockstep x{lock['variants']}: {lock['outcome']}, "
-            f"cost ratio {lock['cost_ratio']}x "
-            f"({lock['lockstep']['wall_seconds']}s vs "
-            f"{lock['single']['wall_seconds']}s single)"
-        )
-    print(report.render_bench(bench_report))
-    print(f"[{time.perf_counter() - started:.1f}s]")
-    text = bench_report.to_json()
-    problems = validate(json.loads(text))
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
-    print(f"[bench artifact -> {out}]")
-    for problem in problems:
-        print(f"schema violation: {problem}", file=sys.stderr)
-    return 0 if bench_report.ok and not problems else 1
-
-
 def fleet_main(argv) -> int:
     """``python -m repro fleet``: the serving-axis benchmark.
 
     Drives a supervised victim fleet with seeded open-loop load (optionally
-    under chaos), prints the serving report, and writes a validating
-    ``repro-bench/v1`` artifact with the ``serving`` section.  Exits 1 if
-    any request was lost, the artifact fails validation, or — with
-    ``--chaos`` — nothing actually went wrong (an un-exercised chaos leg
-    is a broken chaos leg).
+    under chaos), prints the serving report, and writes a
+    ``repro-fleet/v1`` artifact (provenance, anchor profile, ``serving``
+    section).  Exits 1 if any request was lost or — with ``--chaos`` —
+    nothing actually went wrong (an un-exercised chaos leg is a broken
+    chaos leg).
     """
     import json
 
     from repro.fleet.loadgen import run_fleet
-    from repro.obs.bench import validate
 
     parser = argparse.ArgumentParser(
         prog="python -m repro fleet",
@@ -767,7 +689,7 @@ def fleet_main(argv) -> int:
         "supervised victim workers with admission control, hedged "
         "retries, deadlines, and MARDU-style rolling re-randomization; "
         "report p50/p99 latency, sustained RPS, shed/retry/swap counts, "
-        "and the attacker window as a repro-bench/v1 artifact.",
+        "and the attacker window as a repro-fleet/v1 artifact.",
     )
     parser.add_argument(
         "--workers", type=int, default=4, metavar="N",
@@ -840,15 +762,11 @@ def fleet_main(argv) -> int:
     print(report.render_fleet(fleet_report))
     print(f"[{time.perf_counter() - started:.1f}s]")
 
-    bench_report = fleet_report.to_bench_report()
-    text = bench_report.to_json()
-    problems = validate(json.loads(text))
+    artifact = fleet_report.to_artifact(["python", "-m", "repro", "fleet", *argv])
     with open(out, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+        handle.write(json.dumps(artifact, sort_keys=True, indent=2) + "\n")
     print(f"[fleet artifact -> {out}]")
-    for problem in problems:
-        print(f"schema violation: {problem}", file=sys.stderr)
-    ok = fleet_report.zero_lost and not problems
+    ok = fleet_report.zero_lost
     if args.chaos and fleet_report.kills + fleet_report.hangs == 0:
         print("chaos armed but no worker was killed or hung", file=sys.stderr)
         ok = False
@@ -961,28 +879,25 @@ EXPERIMENTS = {
 }
 
 
+#: Modes with their own flag sets (and, for lint and chaos, their own
+#: engines), so each gets its own parser instead of riding the
+#: experiment options.
+SUBCOMMANDS = {
+    "lint": (lint_main, "Static verification sweep"),
+    "chaos": (chaos_main, "Fault-injection matrix"),
+    "profile": (profile_main, "Hot-path cycle profile"),
+    "disasm-blocks": (disasm_blocks_main, "Static blocks with jit tiers"),
+    "mvee": (mvee_main, "N-variant lockstep cross-check"),
+    "mine": (mine_main, "Static gadget dataflow miner"),
+    "fleet": (fleet_main, "Supervised victim fleet serving bench"),
+}
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "lint":
-        # lint has its own flag set (corpus/seeds/config), so it gets its
-        # own parser instead of riding the experiment options.
-        return lint_main(list(argv[1:]))
-    if argv and argv[0] == "chaos":
-        # chaos likewise: it builds its own fault-armed engine.
-        return chaos_main(list(argv[1:]))
-    if argv and argv[0] == "profile":
-        return profile_main(list(argv[1:]))
-    if argv and argv[0] == "disasm-blocks":
-        return disasm_blocks_main(list(argv[1:]))
-    if argv and argv[0] == "bench":
-        return bench_main(list(argv[1:]))
-    if argv and argv[0] == "mvee":
-        return mvee_main(list(argv[1:]))
-    if argv and argv[0] == "mine":
-        return mine_main(list(argv[1:]))
-    if argv and argv[0] == "fleet":
-        return fleet_main(list(argv[1:]))
+    if argv and argv[0] in SUBCOMMANDS:
+        return SUBCOMMANDS[argv[0]][0](list(argv[1:]))
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate the R2C paper's tables and figures.",
@@ -1020,14 +935,8 @@ def main(argv=None) -> int:
     if args.experiments == ["list"]:
         for name, (_, title) in EXPERIMENTS.items():
             print(f"  {name:13s} {title}")
-        print(f"  {'lint':13s} Static verification sweep (own flags; see lint --help)")
-        print(f"  {'chaos':13s} Fault-injection matrix (own flags; see chaos --help)")
-        print(f"  {'profile':13s} Hot-path cycle profile (own flags; see profile --help)")
-        print(f"  {'disasm-blocks':13s} Static blocks with jit tiers (own flags; see disasm-blocks --help)")
-        print(f"  {'bench':13s} Benchmark regression harness (own flags; see bench --help)")
-        print(f"  {'mvee':13s} N-variant lockstep cross-check (own flags; see mvee --help)")
-        print(f"  {'mine':13s} Static gadget dataflow miner (own flags; see mine --help)")
-        print(f"  {'fleet':13s} Supervised victim fleet serving bench (own flags; see fleet --help)")
+        for name, (_, title) in SUBCOMMANDS.items():
+            print(f"  {name:13s} {title} (own flags; see {name} --help)")
         return 0
 
     names = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments

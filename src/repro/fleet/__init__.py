@@ -14,7 +14,7 @@ defender-side machinery that makes that true at fleet scale:
   queueing with explicit shedding, hedged retry, deadlines, chaos, and
   MARDU-style rolling re-randomization with zero dropped requests;
 * :mod:`repro.fleet.loadgen` — the deterministic open-loop load
-  generator and the ``repro-bench/v1`` serving-axis report.
+  generator and the ``repro-fleet/v1`` serving-axis report.
 
 Everything observable (latency percentiles, shed/retry/swap counts,
 attacker window) is derived from simulated cycles and seeded RNG, so

@@ -8,23 +8,24 @@ assembles the whole stack — webserver module, shared compile cache,
 supervised workers, scheduler, chaos — runs it, and distils a
 :class:`FleetReport`: p50/p99 latency, sustained RPS, shed/retry/swap
 counts, measured re-randomization throughput dip, and the attacker
-window (mean seconds one slot keeps one layout).  The report embeds into
-the ``repro-bench/v1`` artifact as its ``serving`` section, anchored by
-one real measured cell per run.
+window (mean seconds one slot keeps one layout).
+:meth:`FleetReport.to_artifact` writes it as a ``repro-fleet/v1``
+artifact: the ``serving`` section, anchored by one real measured guest
+execution (``profile``), plus the run's provenance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import R2CConfig
 from repro.eval.engine import CompileCache
 from repro.fleet.cache import DiskCompileCache
 from repro.fleet.core import ChaosSpec, Fleet, FleetOutcome
 from repro.fleet.workers import CLOCK_HZ, FleetWorker
-from repro.obs.bench import BenchCell, BenchReport
+from repro.obs import provenance
 from repro.rng import DiversityRng
 from repro.workloads.webserver import build_webserver
 
@@ -102,7 +103,7 @@ class FleetReport:
         return self.arrivals == sum(self.outcomes.values())
 
     def serving(self) -> Dict[str, object]:
-        """The ``repro-bench/v1`` ``serving`` section."""
+        """The ``repro-fleet/v1`` ``serving`` section."""
         return {
             "seed": self.seed,
             "workers": self.workers,
@@ -135,37 +136,17 @@ class FleetReport:
             "cache": dict(self.cache),
         }
 
-    def to_bench_report(self, *, jobs: int = 1, quick: bool = True) -> BenchReport:
-        """Wrap this run as a validating ``repro-bench/v1`` artifact."""
-        cell = BenchCell(
-            workload="webserver",
-            config=f"fleet-full-s{self.seed}",
-            outcome="ok",
-            cycles=float(self.profile.get("cycles", 0.0)),
-            instructions=int(self.profile.get("instructions", 0)),
-            icache_hits=int(self.profile.get("icache_hits", 0)),
-            icache_misses=int(self.profile.get("icache_misses", 0)),
-            max_rss=int(self.profile.get("max_rss", 0)),
-            compile_seconds=float(self.profile.get("compile_seconds", 0.0)),
-            run_seconds=float(self.profile.get("run_seconds", 0.0)),
-        )
-        engine = {
-            "executed": self.arrivals,
-            "compiles": int(self.cache.get("misses", 0)),
-            "compile_seconds": float(self.cache.get("compile_seconds", 0.0)),
-            "run_seconds": 0.0,
-            "failures": 0,
-            "by_outcome": dict(self.outcomes),
+    def to_artifact(self, argv: Sequence[str]) -> Dict[str, object]:
+        """This run as a ``repro-fleet/v1`` artifact; ``argv`` is the
+        command that produced it, recorded in the provenance block."""
+        return {
+            "schema": "repro-fleet/v1",
+            "provenance": provenance(argv),
+            "backend": self.backend,
+            "machine": self.machine,
+            "profile": dict(self.profile),
+            "serving": self.serving(),
         }
-        return BenchReport(
-            backend=self.backend,
-            machine=self.machine,
-            quick=quick,
-            jobs=jobs,
-            cells=[cell],
-            engine=engine,
-            serving=self.serving(),
-        )
 
 
 def run_fleet(

@@ -8,6 +8,7 @@ simulation is bit-deterministic — same seed, same metrics, on every
 backend.
 """
 
+import json
 import os
 import pickle
 import time
@@ -28,7 +29,6 @@ from repro.fleet import (
     open_loop_arrivals,
     run_fleet,
 )
-from repro.obs.bench import BenchReport, validate
 from repro.rng import DiversityRng
 from repro.workloads.webserver import build_webserver
 
@@ -286,10 +286,16 @@ def test_run_fleet_chaos_zero_lost():
 def test_run_fleet_artifact_validates_and_roundtrips():
     report = run_fleet(workers=2, rps=100.0, duration_seconds=0.5,
                        backend="jit", seed=2)
-    bench = report.to_bench_report()
-    problems = validate(__import__("json").loads(bench.to_json()))
-    assert problems == []
-    clone = BenchReport.from_json(bench.to_json())
-    assert clone.serving["arrivals"] == report.arrivals
-    assert clone.serving["p99_ms"] == report.p99_ms
-    assert clone.cells[0].cycles > 0  # anchored by a real execution
+    artifact = report.to_artifact(["python", "-m", "repro", "fleet"])
+    assert set(artifact) == {
+        "schema", "provenance", "backend", "machine", "profile", "serving",
+    }
+    assert artifact["schema"] == "repro-fleet/v1"
+    assert json.loads(json.dumps(artifact)) == artifact
+    assert artifact["serving"] == report.serving()
+    assert {
+        "git_sha", "git_dirty", "argv", "python", "cpu_model", "nproc",
+        "timestamp",
+    } <= set(artifact["provenance"])
+    assert artifact["provenance"]["argv"] == ["python", "-m", "repro", "fleet"]
+    assert artifact["profile"]["cycles"] > 0  # anchored by a real execution

@@ -144,6 +144,19 @@ def test_cli_list_and_unknown(capsys):
         main(["nonsense"])
 
 
+def test_cli_list_names_every_subcommand_and_bench_is_gone(capsys):
+    from repro.__main__ import SUBCOMMANDS, main
+
+    assert main(["list"]) == 0
+    listed = {line.split()[0] for line in capsys.readouterr().out.splitlines()}
+    assert set(SUBCOMMANDS) <= listed
+    assert "bench" not in listed
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bench"])
+    assert exit_info.value.code == 2
+    assert "unknown experiment(s) ['bench']" in capsys.readouterr().err
+
+
 def test_cli_runs_quick_security(capsys):
     from repro.__main__ import main
 
